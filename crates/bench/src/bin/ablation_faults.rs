@@ -22,7 +22,8 @@
 //! abandoned by the attacker's bounded retry loop instead of idling out
 //! the whole simulation budget.
 
-use bench::{print_series, run_point, Cli, SeriesReport, TrialConfig};
+use bench::report::{artefact_dir, print_table, write_artefact};
+use bench::{run_point, Cli, SeriesReport, TrialConfig};
 use injectable::ResyncPolicy;
 use simkit::{Duration, FaultPlan, FrameLossRule, Instant, InterferenceBurst};
 
@@ -118,16 +119,11 @@ fn main() {
         base + 100,
         loss_plan,
     );
-    print_series(
-        "ablation_faults_bursts",
+    print_table(
         "Fault ablation — data-channel interference bursts",
         &burst_rows,
     );
-    print_series(
-        "ablation_faults_loss",
-        "Fault ablation — flat frame loss/corruption",
-        &loss_rows,
-    );
+    print_table("Fault ablation — flat frame loss/corruption", &loss_rows);
     println!("Reading: the zero rows are the unimpaired controls; rising burst");
     println!("duty or loss probability costs the attacker more attempts and, at");
     println!("the top of the loss sweep, the success rate itself. Attempt means");
@@ -135,15 +131,15 @@ fn main() {
     println!("local dip: it kills the legitimate connection faster, and trials");
     println!("that still succeed do so cheaply against the freshly re-synced");
     println!("replacement connection.");
+    // `--json` gets both sweeps in one file; without it each sweep lands
+    // in its own default artefact.
     if let Some(path) = cli.json.as_deref() {
         let mut combined = burst_rows;
         combined.extend(loss_rows);
-        match bench::report::write_json_to(path, &combined) {
-            Ok(()) => println!("[artefact] {}", path.display()),
-            Err(err) => eprintln!(
-                "warning: could not write JSON artefact to {}: {err}",
-                path.display()
-            ),
-        }
+        write_artefact(path, &combined);
+    } else {
+        let dir = artefact_dir();
+        write_artefact(&dir.join("ablation_faults_bursts.json"), &burst_rows);
+        write_artefact(&dir.join("ablation_faults_loss.json"), &loss_rows);
     }
 }

@@ -116,12 +116,6 @@ fn main() {
     println!("fails outright), while victim connection drops rise — the paper's");
     println!("predicted reliability cost of the countermeasure.");
     if let Some(path) = cli.json.as_deref() {
-        match bench::report::write_json_to(path, &series) {
-            Ok(()) => println!("[artefact] {}", path.display()),
-            Err(err) => eprintln!(
-                "warning: could not write JSON artefact to {}: {err}",
-                path.display()
-            ),
-        }
+        bench::report::write_artefact(path, &series);
     }
 }

@@ -2,8 +2,8 @@
 //!
 //! Every `exp*`/`ablation*` binary takes the same small surface: an
 //! optional positional trial count, `--seed <n>` to shift the seed base,
-//! and `--json <path>` to write the `SeriesReport` rows to an extra
-//! artefact path (on top of the default `target/experiments/<name>.json`).
+//! and `--json <path>` to write the `SeriesReport` rows there instead of
+//! the default `target/experiments/<name>.json`.
 //!
 //! The campaign flags switch a binary from the in-memory
 //! `run_trials_parallel` path to the streaming, checkpointable
@@ -24,7 +24,7 @@ pub struct Cli {
     pub trials: u64,
     /// Seed-base override (`--seed`).
     pub seed: Option<u64>,
-    /// Extra JSON artefact path (`--json`).
+    /// JSON artefact path (`--json`), replacing the default one.
     pub json: Option<PathBuf>,
     /// Run sweep points through the streaming campaign runner
     /// (`--campaign`).

@@ -26,7 +26,7 @@ pub use campaign::{
     run_campaign, run_campaign_with, run_point, CampaignConfig, CampaignRun, SeriesAccumulator,
 };
 pub use cli::Cli;
-pub use report::{print_series, print_series_to, SeriesReport};
+pub use report::{print_series_to, SeriesReport};
 pub use rig::ExperimentRig;
 pub use stats::Summary;
 pub use telemetry::{HistRow, TelemetryMode, TrialMetrics};

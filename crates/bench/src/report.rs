@@ -147,29 +147,37 @@ pub fn peak_rss_kb() -> Option<u64> {
     }
 }
 
-/// Like [`print_series`], additionally writing the JSON rows to `extra`
-/// (the `--json` artefact path of the experiment binaries).
+/// Prints a Figure 9-style table and writes the JSON rows to `json` (the
+/// `--json` artefact path of the experiment binaries), or to
+/// `target/experiments/<name>.json` when no path is given.
 pub fn print_series_to(
     name: &str,
     title: &str,
     rows: &[SeriesReport],
-    extra: Option<&std::path::Path>,
+    json: Option<&std::path::Path>,
 ) {
-    print_series(name, title, rows);
-    if let Some(path) = extra {
-        match write_json_to(path, rows) {
-            Ok(()) => println!("[artefact] {}", path.display()),
-            Err(err) => eprintln!(
-                "warning: could not write JSON artefact to {}: {err}",
-                path.display()
-            ),
-        }
+    print_table(title, rows);
+    match json {
+        Some(path) => write_artefact(path, rows),
+        None => write_artefact(&artefact_dir().join(format!("{name}.json")), rows),
     }
 }
 
-/// Prints a Figure 9-style table and writes the JSON artefact to
-/// `target/experiments/<name>.json`.
-pub fn print_series(name: &str, title: &str, rows: &[SeriesReport]) {
+/// Writes the JSON rows to `path` and announces it on stdout as an
+/// `[artefact]` line; a write failure is a warning on stderr.
+pub fn write_artefact(path: &std::path::Path, rows: &[SeriesReport]) {
+    match write_json_to(path, rows) {
+        Ok(()) => println!("[artefact] {}", path.display()),
+        Err(err) => eprintln!(
+            "warning: could not write JSON artefact to {}: {err}",
+            path.display()
+        ),
+    }
+}
+
+/// Prints a Figure 9-style table plus the anomaly, metric and throughput
+/// lines of its rows.
+pub fn print_table(title: &str, rows: &[SeriesReport]) {
     println!();
     println!("=== {title} ===");
     println!("(metric: injection attempts before the first confirmed success)");
@@ -260,18 +268,6 @@ pub fn print_series(name: &str, title: &str, rows: &[SeriesReport]) {
             );
         }
     }
-    if let Err(err) = write_json(name, rows) {
-        eprintln!("warning: could not write JSON artefact: {err}");
-    }
-}
-
-fn write_json(name: &str, rows: &[SeriesReport]) -> std::io::Result<()> {
-    let dir = artefact_dir();
-    std::fs::create_dir_all(&dir)?;
-    let path = dir.join(format!("{name}.json"));
-    write_json_to(&path, rows)?;
-    println!("[artefact] {}", path.display());
-    Ok(())
 }
 
 /// Writes the JSON rows to an explicit path.
@@ -402,6 +398,19 @@ fn phase_profile_json(rows: &[PhaseProfile]) -> String {
 mod tests {
     use super::*;
     use crate::trial::TrialOutcome;
+
+    #[test]
+    fn json_path_replaces_the_default_artefact() {
+        let name = format!("report_json_path_{}", std::process::id());
+        let default = artefact_dir().join(format!("{name}.json"));
+        let path = std::env::temp_dir().join(format!("{name}.json"));
+        let rows = [SeriesReport::from_outcomes("hop", 25.0, &outcomes(&[1]))];
+        print_series_to(&name, "json path", &rows, Some(&path));
+        let written = std::fs::read_to_string(&path).expect("artefact at --json path");
+        std::fs::remove_file(&path).expect("remove test artefact");
+        assert_eq!(written, rows_to_json(&rows));
+        assert!(!default.exists(), "no default artefact beside --json");
+    }
 
     fn outcomes(attempts: &[u32]) -> Vec<TrialOutcome> {
         attempts

@@ -138,7 +138,13 @@ impl DataPdu {
     /// Encodes header fields plus a borrowed payload straight into an
     /// inline [`Pdu`], without building an owning `DataPdu` first — the
     /// per-attempt encoder for forge paths that reuse one payload buffer.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the payload exceeds 255 bytes, in every build profile,
+    /// like [`DataPdu::new`].
     pub fn encode_pdu(llid: Llid, nesn: bool, sn: bool, md: bool, payload: &[u8]) -> Pdu {
+        assert!(payload.len() <= 255, "data payload too long");
         let header = DataHeader {
             llid,
             nesn,
@@ -147,8 +153,7 @@ impl DataPdu {
             length: len_u8(payload.len()),
         };
         let mut out = Pdu::new();
-        let ok = payload.len() <= 255
-            && out.try_push(header.flag_byte()).is_ok()
+        let ok = out.try_push(header.flag_byte()).is_ok()
             && out.try_push(header.length).is_ok()
             && out.try_extend_from_slice(payload).is_ok();
         invariant!(ok, "pdu-capacity", "data PDU exceeds inline PDU capacity");
@@ -268,5 +273,11 @@ mod tests {
     #[should_panic(expected = "too long")]
     fn oversized_payload_panics() {
         let _ = DataPdu::new(Llid::StartOrComplete, false, false, false, vec![0; 256]);
+    }
+
+    #[test]
+    #[should_panic(expected = "too long")]
+    fn oversized_borrowed_payload_panics_in_every_profile() {
+        let _ = DataPdu::encode_pdu(Llid::StartOrComplete, false, false, false, &[0; 256]);
     }
 }

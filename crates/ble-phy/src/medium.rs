@@ -22,8 +22,9 @@ use ble_telemetry::{
     DeliveryTracker, FaultKind, SpanId, SpanKind, Telemetry, TelemetryEvent, TelemetryRecord,
     TelemetrySink,
 };
-use simkit::{Duration, EventQueue, FaultPlan, Instant, SimRng, Trace};
+use simkit::{Duration, EventId, EventQueue, FaultPlan, Instant, SimRng, Trace};
 
+use crate::access_address::AccessAddress;
 use crate::channel::Channel;
 use crate::fault::FaultState;
 use crate::frame::{RawFrame, ReceivedFrame};
@@ -39,17 +40,23 @@ use crate::radio::{
 /// Both modes produce **event-for-event identical** simulations — the
 /// sharded fast path only skips scheduling `RxStart` edges that the
 /// broadcast path would have discarded without any state or RNG effect
-/// (wrong channel, not listening, or mean power below the reachability
-/// cull). The equivalence is pinned by the `sharding_equivalence`
-/// integration tests, which run the same seeded world under both modes and
-/// compare traces.
+/// (not listening on the channel, unlocked and filtered to another access
+/// address or PHY, or mean power below the reachability cull). Every edge
+/// of a frame to node *i* is keyed `(arrival, base + i)` from a block of
+/// event ids the frame reserves, in both modes, so an edge queued late
+/// sorts exactly where the broadcast edge sat. The equivalence is pinned by
+/// the `sharding_equivalence` integration tests, which run the same seeded
+/// world under both modes and compare traces.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum DeliveryMode {
     /// Schedule `RxStart` only at nodes currently listening on the
-    /// transmission's channel (per-channel listener index) whose mean link
-    /// budget clears the reachability cull. Receivers that open *after*
-    /// the frame left the antenna but *before* its leading edge arrives
-    /// are caught by a pending-arrival scan in `start_rx`. The default.
+    /// transmission's channel (per-channel listener index) that the edge
+    /// can affect — locked, or filtered to accept the frame — and whose
+    /// mean link budget clears the reachability cull. An elided edge is
+    /// queued later, under its reserved key, if the receiver's radio
+    /// changes before the frame arrives: `start_rx` (it opened, retuned
+    /// or changed its filter) and `try_lock` (it locked on another frame)
+    /// rescan the in-flight frames. The default.
     #[default]
     Sharded,
     /// Schedule `RxStart` at every other node for every frame, as the
@@ -77,6 +84,9 @@ enum SimEvent {
     RxStart {
         node: NodeId,
         tx_id: u64,
+        /// Mean received power of the link, computed when the edge was
+        /// queued.
+        mean_dbm: f64,
     },
     RxEnd {
         node: NodeId,
@@ -104,39 +114,31 @@ struct Interference {
     overlap: Duration,
 }
 
-/// Interferers observed during one locked reception. Almost every collision
-/// involves one or two frames (the injection race is exactly two), so the
-/// first few entries live inline in the lock and the common case never
-/// touches the heap; pathological pile-ups spill into a `Vec` rather than
-/// being dropped.
-const INLINE_INTERFERERS: usize = 4;
-
+/// A short list whose first `N` entries live inline, so the common case
+/// never touches the heap; longer lists spill into a `Vec` rather than
+/// dropping entries.
 #[derive(Debug, Clone)]
-struct InterferenceBuf {
+struct InlineList<T, const N: usize> {
     /// Occupied prefix of `inline`.
     len: usize,
-    inline: [Interference; INLINE_INTERFERERS],
+    inline: [T; N],
     /// Overflow beyond the inline capacity; empty in steady state.
-    spill: Vec<Interference>,
+    spill: Vec<T>,
 }
 
-impl InterferenceBuf {
-    const fn new() -> Self {
-        InterferenceBuf {
+impl<T: Copy, const N: usize> InlineList<T, N> {
+    /// An empty list; `fill` only initialises the unused inline slots.
+    fn new(fill: T) -> Self {
+        InlineList {
             len: 0,
-            inline: [Interference {
-                power_dbm: 0.0,
-                overlap: Duration::ZERO,
-            }; INLINE_INTERFERERS],
+            inline: [fill; N],
             spill: Vec::new(),
         }
     }
 
-    /// Appends an interferer. Returns whether the entry spilled past the
-    /// inline capacity onto the heap — callers emit
-    /// [`TelemetryEvent::InterferenceSpill`] so pathological pile-ups are
-    /// observable.
-    fn push(&mut self, entry: Interference) -> bool {
+    /// Appends an entry. Returns whether it spilled past the inline
+    /// capacity onto the heap.
+    fn push(&mut self, entry: T) -> bool {
         if let Some(slot) = self.inline.get_mut(self.len) {
             *slot = entry;
             self.len += 1;
@@ -148,12 +150,32 @@ impl InterferenceBuf {
     }
 
     /// Entries in push order (inline prefix, then spill).
-    fn iter(&self) -> impl Iterator<Item = &Interference> {
+    fn iter(&self) -> impl Iterator<Item = &T> {
         self.inline.iter().take(self.len).chain(self.spill.iter())
     }
 
     fn count(&self) -> usize {
         self.len + self.spill.len()
+    }
+
+    /// Entries past the inline capacity.
+    fn spilled(&self) -> usize {
+        self.spill.len()
+    }
+}
+
+/// Interferers observed during one locked reception. Almost every collision
+/// involves one or two frames (the injection race is exactly two), so four
+/// live inline; a spill emits [`TelemetryEvent::InterferenceSpill`] so
+/// pathological pile-ups are observable.
+type InterferenceBuf = InlineList<Interference, 4>;
+
+impl InterferenceBuf {
+    fn empty() -> Self {
+        InlineList::new(Interference {
+            power_dbm: 0.0,
+            overlap: Duration::ZERO,
+        })
     }
 }
 
@@ -191,44 +213,46 @@ struct NodeState {
     tx_starts: u64,
 }
 
-/// Receivers that already have an `RxStart` edge scheduled for an
-/// in-flight transmission. A duplicate edge would make a receiver treat
-/// its own locked frame as interference (an extra RNG draw and a phantom
-/// collision), so sharded delivery dedups the pending-arrival scan in
-/// `start_rx` against this set. The first 128 node ids live in an inline
-/// bitmask; wider worlds spill into extra heap words (the alloc-budget
-/// scenarios stay single-digit, so the steady-state path never allocates).
-#[derive(Debug, Default)]
-struct ScheduledSet {
-    low: u128,
-    high: Vec<u64>,
-}
-
-impl ScheduledSet {
-    fn insert(&mut self, node: NodeId) {
-        if let Some(bit) = node.0.checked_sub(128) {
-            let word = bit / 64;
-            if self.high.len() <= word {
-                self.high.resize(word + 1, 0);
+impl NodeState {
+    /// Whether an `RxStart` edge of a frame (`channel`, `aa`, `phy`) can
+    /// change this radio's state if it arrives now: the radio listens on
+    /// `channel` and is either locked (the frame interferes or steals the
+    /// lock) or filtered to accept the frame. `handle_rx_start` drops every
+    /// other edge without touching state or RNG, so sharded delivery need
+    /// not queue it.
+    fn edge_live(&self, channel: Channel, aa: AccessAddress, phy: PhyMode) -> bool {
+        match &self.radio {
+            RadioState::Rx {
+                channel: rx_channel,
+                filter,
+                lock,
+                ..
+            } => {
+                *rx_channel == channel
+                    && (lock.is_some() || (self.config.phy == phy && filter.matches(aa)))
             }
-            if let Some(w) = self.high.get_mut(word) {
-                *w |= 1u64 << (bit % 64);
-            }
-        } else {
-            self.low |= 1u128 << node.0;
-        }
-    }
-
-    fn contains(&self, node: NodeId) -> bool {
-        match node.0.checked_sub(128) {
-            Some(bit) => self
-                .high
-                .get(bit / 64)
-                .is_some_and(|w| w & (1u64 << (bit % 64)) != 0),
-            None => self.low & (1u128 << node.0) != 0,
+            RadioState::Idle | RadioState::Tx { .. } => false,
         }
     }
 }
+
+/// Mean received power for the `from → to` link: log-distance path loss
+/// and walls, no fading draw.
+fn link_mean_dbm(env: &Environment, from: &NodeState, to: &NodeState) -> f64 {
+    env.mean_received_power_dbm(
+        from.config.tx_power_dbm,
+        from.config.position,
+        to.config.position,
+    )
+}
+
+/// Receivers that already have an `RxStart` edge queued for an in-flight
+/// transmission. A duplicate edge would make a receiver treat its own
+/// locked frame as interference (an extra RNG draw and a phantom
+/// collision), so the late scheduling in `start_rx` and `try_lock` dedups
+/// against this list. Sharded delivery queues about one edge per frame in
+/// dense worlds, so four inline entries keep the steady state heap-free.
+type ScheduledSet = InlineList<NodeId, 4>;
 
 struct ActiveTx {
     from: NodeId,
@@ -237,78 +261,24 @@ struct ActiveTx {
     frame: RawFrame,
     start: Instant,
     end: Instant,
-    /// Receivers with a scheduled `RxStart` for this frame (sharded
-    /// delivery only; stays empty under [`DeliveryMode::FullBroadcast`],
-    /// where every node gets exactly one edge by construction).
+    /// First of the event ids reserved for this frame's `RxStart` edges,
+    /// one per node: the edge to node *i* is keyed `(arrival, edges + i)`.
+    edges: EventId,
+    /// Nodes in the world at `TxStart`: the size of the reserved block.
+    edge_count: usize,
+    /// Receivers with a queued `RxStart` for this frame (sharded delivery
+    /// only; stays empty under [`DeliveryMode::FullBroadcast`], where
+    /// every node gets exactly one edge by construction).
     scheduled: ScheduledSet,
 }
 
-/// Memoised per-pair mean received power, keyed by `(from, to)` node index
-/// in a flat table. The mean is a pure function of positions, transmit
-/// power and walls, all of which change rarely (experiments move nodes
-/// between trials, not per frame), while the delivery path recomputes it
-/// per scheduled edge, per lock attempt and per interference candidate —
-/// in dense worlds the same `log10` shows up millions of times.
-///
-/// Invalidation is by generation counter: [`World::set_node_position`] and
-/// [`World::env_mut`] bump the generation, instantly staling every entry
-/// without touching the table. The table is (re)sized lazily on the first
-/// lookup after a node-count change.
-struct PairCache {
-    generation: u64,
-    nodes: usize,
-    /// `(generation, mean_dbm)` at `from * nodes + to`.
-    entries: Vec<(u64, f64)>,
-}
-
-impl PairCache {
-    const fn new() -> Self {
-        PairCache {
-            generation: 1,
-            nodes: 0,
-            entries: Vec::new(),
-        }
-    }
-
-    /// Stales every cached mean (a position or the environment changed).
-    fn invalidate(&mut self) {
-        self.generation += 1;
-    }
-
-    /// Cached mean received power for `from → to`, computing and memoising
-    /// on miss. Exactly [`Environment::mean_received_power_dbm`] —
-    /// memoisation can only skip recomputation, never change a value, so
-    /// cached and uncached worlds are bit-identical.
-    fn mean_dbm(
-        &mut self,
-        env: &Environment,
-        nodes: &[NodeState],
-        from: NodeId,
-        to: NodeId,
-    ) -> f64 {
-        if self.nodes != nodes.len() {
-            self.nodes = nodes.len();
-            self.entries.clear();
-            self.entries.resize(self.nodes * self.nodes, (0, 0.0));
-        }
-        let idx = from.0 * self.nodes + to.0;
-        if let Some(&(generation, mean)) = self.entries.get(idx) {
-            if generation == self.generation {
-                return mean;
-            }
-        }
-        let (Some(tx), Some(rx)) = (nodes.get(from.0), nodes.get(to.0)) else {
-            return f64::NEG_INFINITY;
-        };
-        let mean = env.mean_received_power_dbm(
-            tx.config.tx_power_dbm,
-            tx.config.position,
-            rx.config.position,
-        );
-        if let Some(slot) = self.entries.get_mut(idx) {
-            *slot = (self.generation, mean);
-        }
-        mean
+impl ActiveTx {
+    /// The reserved event id of this frame's `RxStart` edge to `node`.
+    /// `None` for a node added after `TxStart`: broadcast delivery gave it
+    /// no edge, so it never hears the frame arrive.
+    fn edge_id(&self, node: NodeId) -> Option<EventId> {
+        let offset = u64::try_from(node.0).ok()?;
+        (node.0 < self.edge_count).then(|| self.edges.offset(offset))
     }
 }
 
@@ -333,7 +303,9 @@ pub(crate) struct SimInner {
     /// reception); `finish_tx` and `handle_rx_end` never enter or leave
     /// `Rx`, so they leave the index alone.
     listeners: Vec<Vec<NodeId>>,
-    pair_cache: PairCache,
+    /// Earliest `end + TX_RETENTION` over `txs` ([`Instant::MAX`] when
+    /// empty): `gc` has nothing to remove before then.
+    gc_due: Instant,
     /// Per-packet delivery ledger ([`World::enable_delivery_tracker`]);
     /// `None` costs one branch per hook.
     delivery: Option<DeliveryTracker>,
@@ -494,27 +466,21 @@ impl SimInner {
         }
     }
 
-    /// Mean received power for the `from → to` link, through the pair
-    /// cache.
-    fn mean_power_dbm(&mut self, from: NodeId, to: NodeId) -> f64 {
-        let SimInner {
-            env,
-            nodes,
-            pair_cache,
-            ..
-        } = self;
-        pair_cache.mean_dbm(env, nodes, from, to)
-    }
-
-    /// One per-frame received-power realisation on top of a (cached) mean:
-    /// a multipath fading draw, minus any fault-plan fading episode.
-    fn received_power_from_mean(&mut self, mean: f64) -> f64 {
+    /// One per-frame received-power realisation on top of a mean: a
+    /// multipath fading draw, minus any fault-plan fading episode. `None`
+    /// for a link the reachability cull drops — RNG-free and checked
+    /// before the draw in both delivery modes, so a culled link consumes
+    /// no randomness anywhere.
+    fn received_power_from_mean(&mut self, mean: f64) -> Option<f64> {
+        if !self.env.reachable_mean_dbm(mean) {
+            return None;
+        }
         let mut power = mean + self.env.fading_db(&mut self.rng);
         if self.faults.enabled() {
             // Fading episodes attenuate the whole medium symmetrically.
             power -= self.faults.fading_db(self.now());
         }
-        power
+        Some(power)
     }
 
     pub(crate) fn transmit(&mut self, node: NodeId, channel: Channel, frame: RawFrame) -> TxHandle {
@@ -566,89 +532,114 @@ impl SimInner {
             pdu_len,
             end,
         });
-        self.txs.insert(
-            tx_id,
-            ActiveTx {
-                from: node,
-                channel,
-                phy,
-                frame,
-                start: now,
-                end,
-                scheduled: ScheduledSet::default(),
-            },
-        );
         self.queue.schedule_at(end, SimEvent::TxEnd { node });
-        let from_pos = self.node_state(node).config.position;
+        // One `RxStart` key per node, taken right after `TxEnd` in both
+        // modes: wherever an edge is queued, it sorts where the broadcast
+        // edge sits.
+        let edges = self
+            .queue
+            .reserve(u64::try_from(self.nodes.len()).unwrap_or(u64::MAX));
+        let mut tx = ActiveTx {
+            from: node,
+            channel,
+            phy,
+            frame,
+            start: now,
+            end,
+            edges,
+            edge_count: self.nodes.len(),
+            scheduled: ScheduledSet::new(NodeId(0)),
+        };
+        self.gc_due = self.gc_due.min(end + TX_RETENTION);
         let mode = self.delivery_mode;
-        // Split-field borrow: arrival times read `env`/`nodes`, the cull
-        // reads the pair cache, scheduling writes `queue` — disjoint, so no
-        // intermediate collection needed. Both modes schedule receivers in
-        // ascending node order (the listener lists are sorted), keeping
-        // same-instant event ties identical between them.
+        // Split-field borrow: arrival times and the cull read
+        // `env`/`nodes`, scheduling writes `queue` — disjoint, so no
+        // intermediate collection needed.
         let SimInner {
             queue,
             env,
             nodes,
             listeners,
-            pair_cache,
-            txs,
             delivery,
             ..
         } = self;
+        let sender = &nodes[node.0 % nodes.len()];
         let mut scheduled: u32 = 0;
         let mut culled: u32 = 0;
+        let mut elided: u32 = 0;
         match mode {
             DeliveryMode::FullBroadcast => {
                 for (other, state) in nodes.iter().enumerate() {
-                    if other == node.0 {
+                    let other = NodeId(other);
+                    if other == node {
                         continue;
                     }
-                    let arrival = now + env.propagation_delay(from_pos, state.config.position);
-                    queue.schedule_at(
+                    let Some(id) = tx.edge_id(other) else {
+                        continue;
+                    };
+                    let arrival =
+                        now + env.propagation_delay(sender.config.position, state.config.position);
+                    queue.schedule_reserved(
                         arrival,
+                        id,
                         SimEvent::RxStart {
-                            node: NodeId(other),
+                            node: other,
                             tx_id,
+                            mean_dbm: link_mean_dbm(env, sender, state),
                         },
                     );
                     scheduled += 1;
                 }
             }
             DeliveryMode::Sharded => {
-                let tx = txs.get_mut(&tx_id);
                 let listening = listeners.get(usize::from(channel.index()));
-                if let (Some(tx), Some(listening)) = (tx, listening) {
-                    for &other in listening {
-                        if other == node {
-                            continue;
-                        }
-                        // RNG-free reachability cull: a mean this far under
-                        // the floor fails `try_lock`'s sensitivity check for
-                        // every realistic fading draw, and the broadcast
-                        // path applies the identical predicate before its
-                        // draw — skipping here shifts no RNG stream.
-                        let mean = pair_cache.mean_dbm(env, nodes, node, other);
-                        if !env.reachable_mean_dbm(mean) {
-                            culled += 1;
-                            continue;
-                        }
-                        let Some(state) = nodes.get(other.0) else {
-                            continue;
-                        };
-                        let arrival = now + env.propagation_delay(from_pos, state.config.position);
-                        queue.schedule_at(arrival, SimEvent::RxStart { node: other, tx_id });
-                        tx.scheduled.insert(other);
-                        scheduled += 1;
+                for &other in listening.into_iter().flatten() {
+                    let (Some(state), Some(id)) = (nodes.get(other.0), tx.edge_id(other)) else {
+                        continue;
+                    };
+                    if !state.edge_live(channel, aa, phy) {
+                        elided += 1;
+                        continue;
                     }
+                    // RNG-free reachability cull: a mean this far under
+                    // the floor fails the sensitivity check for every
+                    // realistic fading draw, and `handle_rx_start` applies
+                    // the identical predicate before its draw — skipping
+                    // here shifts no RNG stream.
+                    let mean_dbm = link_mean_dbm(env, sender, state);
+                    if !env.reachable_mean_dbm(mean_dbm) {
+                        culled += 1;
+                        continue;
+                    }
+                    let arrival =
+                        now + env.propagation_delay(sender.config.position, state.config.position);
+                    queue.schedule_reserved(
+                        arrival,
+                        id,
+                        SimEvent::RxStart {
+                            node: other,
+                            tx_id,
+                            mean_dbm,
+                        },
+                    );
+                    tx.scheduled.push(other);
+                    scheduled += 1;
                 }
             }
         }
         if let Some(tracker) = delivery {
             let peers = u32::try_from(nodes.len().saturating_sub(1)).unwrap_or(u32::MAX);
-            let suppressed = peers.saturating_sub(scheduled).saturating_sub(culled);
-            tracker.on_tx(tx_id, channel.index(), scheduled, culled, suppressed);
+            let suppressed = peers.saturating_sub(scheduled + culled + elided);
+            tracker.on_tx(
+                tx_id,
+                channel.index(),
+                scheduled,
+                culled,
+                elided,
+                suppressed,
+            );
         }
+        self.txs.insert(tx_id, tx);
         TxHandle {
             start: now,
             end,
@@ -697,104 +688,112 @@ impl SimInner {
             crc_init,
             lock: None,
         };
-        // One pass over the in-flight transmissions serves two windows:
-        //
-        // * **Late lock** (`arrival <= now`): a frame whose preamble began
-        //   moments ago can still be caught — required for window semantics
-        //   where a receiver opens just in time.
-        // * **Pending arrival** (`arrival > now`, sharded mode only): the
-        //   frame left the antenna while this node was not listening, so
-        //   the sharded fan-out skipped it. Broadcast delivery would have
-        //   scheduled its `RxStart` unconditionally; schedule it now,
-        //   dedup'd through the transmission's `scheduled` set so the edge
-        //   exists exactly once.
+        // The retune may make elided edges of in-flight frames live.
+        self.schedule_live_edges(node);
+        // Late lock: a frame whose preamble began moments ago can still be
+        // caught — required for window semantics where a receiver opens
+        // just in time.
         let phy = self.node_state(node).config.phy;
         let grace = phy.preamble_duration() / 4;
-        let mut best: Option<(u64, Instant)> = None;
         let rx_pos = self.node_state(node).config.position;
-        let mode = self.delivery_mode;
-        let SimInner {
-            txs,
-            env,
-            nodes,
-            queue,
-            pair_cache,
-            delivery,
-            ..
-        } = self;
-        for (&tx_id, tx) in txs.iter_mut() {
-            if tx.from == node || tx.channel != channel {
+        let mut best: Option<(u64, Instant, NodeId)> = None;
+        for (&tx_id, tx) in &self.txs {
+            if tx.from == node || tx.channel != channel || tx.phy != phy {
                 continue;
             }
-            let Some(tx_state) = nodes.get(tx.from.0) else {
-                continue;
-            };
-            let delay = env.propagation_delay(tx_state.config.position, rx_pos);
+            let from_pos = self.node_state(tx.from).config.position;
+            let delay = self.env.propagation_delay(from_pos, rx_pos);
             let arrival = tx.start + delay;
-            if arrival > now {
-                if matches!(mode, DeliveryMode::Sharded)
-                    && !tx.scheduled.contains(node)
-                    && env.reachable_mean_dbm(pair_cache.mean_dbm(env, nodes, tx.from, node))
-                {
-                    queue.schedule_at(arrival, SimEvent::RxStart { node, tx_id });
-                    tx.scheduled.insert(node);
-                    if let Some(tracker) = delivery {
-                        tracker.on_late_scheduled(tx_id);
-                    }
-                }
-                continue;
-            }
-            if tx.phy != phy {
-                continue;
-            }
-            let tx_end = tx.end + delay;
-            if now <= arrival + grace && tx_end > now {
-                if !filter.matches(tx.frame.access_address) {
-                    continue;
-                }
-                if best.is_none_or(|(_, a)| arrival < a) {
-                    best = Some((tx_id, arrival));
-                }
+            if arrival <= now
+                && now <= arrival + grace
+                && tx.end + delay > now
+                && filter.matches(tx.frame.access_address)
+                && best.is_none_or(|(_, a, _)| arrival < a)
+            {
+                best = Some((tx_id, arrival, tx.from));
             }
         }
-        if let Some((tx_id, arrival)) = best {
-            if self.try_lock(node, tx_id, arrival, None) {
+        let Some((tx_id, arrival, from)) = best else {
+            return;
+        };
+        let mean_dbm = link_mean_dbm(&self.env, self.node_state(from), self.node_state(node));
+        if let Some(signal_dbm) = self.received_power_from_mean(mean_dbm) {
+            if self.try_lock(node, tx_id, arrival, signal_dbm) {
                 self.queue
                     .schedule_at(now, SimEvent::LateSync { node, tx_id });
             }
         }
     }
 
+    /// Queues, under its reserved key, every `RxStart` edge of an in-flight
+    /// frame that sharded delivery elided for `node` and that its radio
+    /// can now act on ([`NodeState::edge_live`]). Called after each change
+    /// that can make an edge live: `start_rx` (the node opened, retuned or
+    /// changed its filter) and `try_lock` (it locked). Only keys still
+    /// ahead of the event being processed are queued — an edge whose key
+    /// already passed fired, under broadcast delivery, into a radio it
+    /// could not affect. No-op under [`DeliveryMode::FullBroadcast`],
+    /// which queued every edge at transmit time.
+    fn schedule_live_edges(&mut self, node: NodeId) {
+        if self.delivery_mode != DeliveryMode::Sharded {
+            return;
+        }
+        let SimInner {
+            txs,
+            env,
+            nodes,
+            queue,
+            delivery,
+            ..
+        } = self;
+        let Some(rx) = nodes.get(node.0) else {
+            return;
+        };
+        for (&tx_id, tx) in txs.iter_mut() {
+            if tx.from == node
+                || !rx.edge_live(tx.channel, tx.frame.access_address, tx.phy)
+                || tx.scheduled.iter().any(|&n| n == node)
+            {
+                continue;
+            }
+            let Some(sender) = nodes.get(tx.from.0) else {
+                continue;
+            };
+            let arrival =
+                tx.start + env.propagation_delay(sender.config.position, rx.config.position);
+            let Some(id) = tx.edge_id(node).filter(|&id| queue.is_ahead(arrival, id)) else {
+                continue;
+            };
+            let mean_dbm = link_mean_dbm(env, sender, rx);
+            if !env.reachable_mean_dbm(mean_dbm) {
+                continue;
+            }
+            queue.schedule_reserved(
+                arrival,
+                id,
+                SimEvent::RxStart {
+                    node,
+                    tx_id,
+                    mean_dbm,
+                },
+            );
+            tx.scheduled.push(node);
+            if let Some(tracker) = delivery {
+                tracker.on_late_scheduled(tx_id);
+            }
+        }
+    }
+
     /// Attempts to lock `node`'s receiver onto transmission `tx_id` whose
-    /// leading edge arrived at `arrival`. `known_power` reuses an already
-    /// drawn per-frame fading realisation. Returns whether the lock
-    /// happened.
-    fn try_lock(
-        &mut self,
-        node: NodeId,
-        tx_id: u64,
-        arrival: Instant,
-        known_power: Option<f64>,
-    ) -> bool {
-        let (tx_start, tx_end, tx_from) = {
+    /// leading edge arrived at `arrival`, received at `signal_dbm` (one
+    /// drawn per-frame realisation). Returns whether the lock happened.
+    fn try_lock(&mut self, node: NodeId, tx_id: u64, arrival: Instant, signal_dbm: f64) -> bool {
+        let (tx_start, tx_end) = {
             let Some(tx) = self.txs.get(&tx_id) else {
                 invariant!(false, "tx-id", "try_lock on unknown transmission #{tx_id}");
                 return false;
             };
-            (tx.start, tx.end, tx.from)
-        };
-        let signal_dbm = match known_power {
-            Some(power) => power,
-            None => {
-                // Reachability cull — RNG-free and applied identically in
-                // both delivery modes *before* the fading draw, so a culled
-                // link consumes no randomness anywhere.
-                let mean = self.mean_power_dbm(tx_from, node);
-                if !self.env.reachable_mean_dbm(mean) {
-                    return false;
-                }
-                self.received_power_from_mean(mean)
-            }
+            (tx.start, tx.end)
         };
         if signal_dbm < self.env.sensitivity_dbm {
             return false;
@@ -821,10 +820,11 @@ impl SimInner {
         // Frames that started earlier and are still in the air interfere
         // from the very start of this lock.
         let interference = self.scan_existing_interference(node, tx_id, arrival, lock_end);
-        let channel = {
+        let (channel, relock) = {
             let RadioState::Rx { lock, channel, .. } = &mut self.node_state_mut(node).radio else {
                 return false;
             };
+            let relock = lock.is_some();
             *lock = Some(RxLock {
                 tx_id,
                 arrival,
@@ -832,10 +832,15 @@ impl SimInner {
                 signal_dbm,
                 interference,
             });
-            *channel
+            (*channel, relock)
         };
         self.queue
             .schedule_at(lock_end, SimEvent::RxEnd { node, tx_id });
+        // A locked radio reacts to every audible frame on its channel.
+        // A relock changes nothing here: those edges are queued already.
+        if !relock {
+            self.schedule_live_edges(node);
+        }
         self.emit(arrival, Some(node), || TelemetryEvent::RxLock {
             channel: channel.index(),
         });
@@ -853,8 +858,7 @@ impl SimInner {
         window_start: Instant,
         window_end: Instant,
     ) -> InterferenceBuf {
-        let mut out = InterferenceBuf::new();
-        let rx_pos = self.node_state(node).config.position;
+        let mut out = InterferenceBuf::empty();
         let channel = match &self.txs.get(&locked_tx) {
             Some(tx) => tx.channel,
             None => return out,
@@ -871,13 +875,15 @@ impl SimInner {
             nodes,
             rng,
             faults,
-            pair_cache,
             ..
         } = self;
         let fault_fade_db = if faults.enabled() {
             faults.fading_db(window_start)
         } else {
             0.0
+        };
+        let Some(rx) = nodes.get(node.0) else {
+            return out;
         };
         for (&id, tx) in txs.iter() {
             if id == locked_tx || tx.from == node || tx.channel != channel {
@@ -886,13 +892,12 @@ impl SimInner {
             let Some(tx_state) = nodes.get(tx.from.0) else {
                 continue;
             };
-            let tx_cfg = &tx_state.config;
-            let delay = env.propagation_delay(tx_cfg.position, rx_pos);
+            let delay = env.propagation_delay(tx_state.config.position, rx.config.position);
             let arrival = tx.start + delay;
             let end = tx.end + delay;
             if arrival <= window_start && end > window_start {
                 let overlap = end.min(window_end) - window_start;
-                let mean = pair_cache.mean_dbm(env, nodes, tx.from, node);
+                let mean = link_mean_dbm(env, tx_state, rx);
                 // Reachability cull, RNG-free and pre-draw: an inaudible
                 // interferer is skipped before its fading realisation, in
                 // both delivery modes alike.
@@ -903,7 +908,7 @@ impl SimInner {
                 out.push(Interference { power_dbm, overlap });
             }
         }
-        for _ in 0..out.spill.len() {
+        for _ in 0..out.spilled() {
             self.emit(window_start, Some(node), || {
                 TelemetryEvent::InterferenceSpill {
                     channel: channel.index(),
@@ -915,65 +920,62 @@ impl SimInner {
 
     /// Processes the arrival of `tx_id`'s leading edge at `node`. Returns a
     /// sync notification to dispatch if the radio locked on.
-    fn handle_rx_start(&mut self, node: NodeId, tx_id: u64) -> Option<RadioEvent> {
+    fn handle_rx_start(&mut self, node: NodeId, tx_id: u64, mean_dbm: f64) -> Option<RadioEvent> {
         let now = self.now();
-        let (tx_channel, tx_aa, tx_from, tx_len) = {
+        let (tx_channel, tx_aa, tx_phy, tx_len) = {
             let tx = self.txs.get(&tx_id)?;
             (
                 tx.channel,
                 tx.frame.access_address,
-                tx.from,
+                tx.phy,
                 tx.end - tx.start,
             )
         };
-        let already_locked = {
-            let RadioState::Rx { channel, lock, .. } = &self.node_state(node).radio else {
+        let (already_locked, accepts) = {
+            let state = self.node_state(node);
+            let RadioState::Rx {
+                channel,
+                lock,
+                filter,
+                ..
+            } = &state.radio
+            else {
                 return None;
             };
             if *channel != tx_channel {
                 return None;
             }
-            lock.is_some()
+            (
+                lock.is_some(),
+                state.config.phy == tx_phy && filter.matches(tx_aa),
+            )
+        };
+        let sync = RadioEvent::SyncDetected {
+            channel: tx_channel,
+            access_address: tx_aa,
+            at: now,
         };
         if already_locked {
             // Reachability cull — identical RNG-free predicate as the
             // sharded fan-out, checked *before* the power draw so both
             // delivery modes consume the same random stream.
-            let mean = self.mean_power_dbm(tx_from, node);
-            if !self.env.reachable_mean_dbm(mean) {
-                return None;
-            }
-            let power_dbm = self.received_power_from_mean(mean);
+            let power_dbm = self.received_power_from_mean(mean_dbm)?;
             // A dominant late arrival steals the lock (receiver
             // re-synchronisation): the previously locked frame is lost.
-            let (steals, matches_filter) = {
+            let steals = {
                 let RadioState::Rx {
-                    lock: Some(lock),
-                    filter,
-                    ..
+                    lock: Some(lock), ..
                 } = &self.node_state(node).radio
                 else {
                     return None;
                 };
-                (
-                    power_dbm >= lock.signal_dbm + self.env.capture.relock_threshold_db,
-                    filter.matches(tx_aa),
-                )
+                power_dbm >= lock.signal_dbm + self.env.capture.relock_threshold_db
             };
-            let rx_phy = self.node_state(node).config.phy;
-            let phy_matches = self.txs.get(&tx_id).is_some_and(|tx| tx.phy == rx_phy);
-            if steals && matches_filter && phy_matches {
+            if steals && accepts {
                 self.emit(now, Some(node), || TelemetryEvent::Relock {
                     channel: tx_channel.index(),
                 });
-                if self.try_lock(node, tx_id, now, Some(power_dbm)) {
-                    return Some(RadioEvent::SyncDetected {
-                        channel: tx_channel,
-                        access_address: tx_aa,
-                        at: now,
-                    });
-                }
-                return None;
+                return self.try_lock(node, tx_id, now, power_dbm).then_some(sync);
             }
             // Otherwise: interference on the locked reception.
             let RadioState::Rx {
@@ -995,24 +997,11 @@ impl SimInner {
             return None;
         }
         // Unlocked: try to synchronise.
-        let (filter, phy) = {
-            let RadioState::Rx { filter, .. } = &self.node_state(node).radio else {
-                return None;
-            };
-            (*filter, self.node_state(node).config.phy)
-        };
-        if !self.txs.get(&tx_id).is_some_and(|tx| tx.phy == phy) || !filter.matches(tx_aa) {
+        if !accepts {
             return None;
         }
-        if self.try_lock(node, tx_id, now, None) {
-            Some(RadioEvent::SyncDetected {
-                channel: tx_channel,
-                access_address: tx_aa,
-                at: now,
-            })
-        } else {
-            None
-        }
+        let signal_dbm = self.received_power_from_mean(mean_dbm)?;
+        self.try_lock(node, tx_id, now, signal_dbm).then_some(sync)
     }
 
     /// Completes a locked reception. Returns the frame to deliver.
@@ -1052,12 +1041,12 @@ impl SimInner {
         if self.faults.enabled() {
             let ch = channel.index();
             let (arrival, end) = (lock.arrival, lock.end);
-            let spill_before = lock.interference.spill.len();
+            let spill_before = lock.interference.spilled();
             self.faults
                 .burst_interference(ch, arrival, end, |power_dbm, overlap| {
                     lock.interference.push(Interference { power_dbm, overlap });
                 });
-            for _ in 0..lock.interference.spill.len().saturating_sub(spill_before) {
+            for _ in 0..lock.interference.spilled().saturating_sub(spill_before) {
                 self.emit(end, Some(node), || TelemetryEvent::InterferenceSpill {
                     channel: ch,
                 });
@@ -1198,9 +1187,24 @@ impl SimInner {
         self.queue.cancel(handle.0);
     }
 
+    /// Drops transmissions retained past `TX_RETENTION`. Gated on the
+    /// earliest expiry, so most events skip the pass; every reader of
+    /// `txs` filters by time, so dropping an entry late changes nothing.
     fn gc(&mut self) {
         let now = self.now();
-        self.txs.retain(|_, tx| tx.end + TX_RETENTION >= now);
+        if now <= self.gc_due {
+            return;
+        }
+        let mut due = Instant::MAX;
+        self.txs.retain(|_, tx| {
+            let expiry = tx.end + TX_RETENTION;
+            let keep = expiry >= now;
+            if keep {
+                due = due.min(expiry);
+            }
+            keep
+        });
+        self.gc_due = due;
     }
 }
 
@@ -1238,7 +1242,7 @@ impl World {
                 faults: FaultState::disabled(),
                 delivery_mode: DeliveryMode::default(),
                 listeners: vec![Vec::new(); usize::from(Channel::COUNT)],
-                pair_cache: PairCache::new(),
+                gc_due: Instant::MAX,
                 delivery: None,
             },
             nodes: Vec::new(),
@@ -1367,10 +1371,7 @@ impl World {
     }
 
     /// Mutable access to the environment (e.g. to move walls mid-run).
-    /// Conservatively stales the pair cache — the caller may change
-    /// anything the mean power depends on.
     pub fn env_mut(&mut self) -> &mut Environment {
-        self.inner.pair_cache.invalidate();
         &mut self.inner.env
     }
 
@@ -1454,11 +1455,12 @@ impl World {
         self.inner.node_state(node).config.position
     }
 
-    /// Moves a node (used by the distance-sweep experiments). Stales the
-    /// pair cache so every link mean is recomputed on next use.
+    /// Moves a node (used by the distance-sweep experiments). Move nodes
+    /// only while no frame is in flight: the delivery modes stay identical
+    /// only if no position changes between a frame's transmit and its
+    /// arrivals.
     pub fn set_node_position(&mut self, node: NodeId, position: Position) {
         self.inner.node_state_mut(node).config.position = position;
-        self.inner.pair_cache.invalidate();
     }
 
     /// Runs a closure with a [`NodeCtx`] for `node` — the way device state
@@ -1486,8 +1488,12 @@ impl World {
                     self.dispatch(node, ev);
                 }
             }
-            SimEvent::RxStart { node, tx_id } => {
-                if let Some(ev) = self.inner.handle_rx_start(node, tx_id) {
+            SimEvent::RxStart {
+                node,
+                tx_id,
+                mean_dbm,
+            } => {
+                if let Some(ev) = self.inner.handle_rx_start(node, tx_id, mean_dbm) {
                     self.dispatch(node, ev);
                 }
             }

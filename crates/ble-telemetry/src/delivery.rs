@@ -2,11 +2,12 @@
 //!
 //! Dense-band worlds (exp6) ask a question the event stream answers only
 //! implicitly: for each transmitted frame, *how many* receivers were
-//! scheduled, how many were culled as unreachable, how many actually locked
-//! on, and how many completed reception. The [`DeliveryTracker`] keeps this
-//! per-packet ledger the way mcsim-style network simulators do — a bounded
-//! map of in-flight packets with old entries evicted in arrival order —
-//! plus monotone run totals that survive eviction.
+//! scheduled, how many were culled as unreachable, how many were elided as
+//! unable to react, how many actually locked on, and how many completed
+//! reception. The [`DeliveryTracker`] keeps this per-packet ledger the way
+//! mcsim-style network simulators do — a bounded map of in-flight packets
+//! with old entries evicted in arrival order — plus monotone run totals
+//! that survive eviction.
 //!
 //! The tracker is pure observation: the medium updates it outside every RNG
 //! draw and event-schedule decision, so enabling it can never perturb a
@@ -16,6 +17,9 @@
 use std::collections::BTreeMap;
 
 /// Per-packet delivery ledger entry: one transmitted frame's fan-out.
+///
+/// `scheduled + culled + elided + suppressed` is the frame's peer count
+/// (every node but the sender): each peer lands in exactly one class.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PacketDelivery {
     /// Channel the frame was transmitted on (0–39).
@@ -25,6 +29,10 @@ pub struct PacketDelivery {
     /// Receivers skipped by the reachability cull (mean received power
     /// below the sensitivity floor minus the cull headroom).
     pub culled: u32,
+    /// Listeners on the frame's channel whose edge was elided: unlocked
+    /// and filtered to another access address or PHY, so the edge could
+    /// not affect them (sharded mode only).
+    pub elided: u32,
     /// Receivers the scheduler did not visit because they were not
     /// listening on the frame's channel (sharded mode only; always 0 under
     /// full broadcast).
@@ -42,8 +50,13 @@ pub struct DeliveryTotals {
     pub tx_frames: u64,
     /// `RxStart` events scheduled across all frames.
     pub scheduled_rx_starts: u64,
+    /// The part of `scheduled_rx_starts` queued after `TxStart`, when a
+    /// receiver's radio changed while the frame was in flight.
+    pub late_scheduled: u64,
     /// Receivers skipped by the reachability cull.
     pub culled_unreachable: u64,
+    /// Listeners whose edge was elided as unable to affect them.
+    pub elided: u64,
     /// Receivers skipped because they were not listening on the channel.
     pub suppressed_not_listening: u64,
     /// Frame receptions that locked (preamble heard).
@@ -78,11 +91,21 @@ impl DeliveryTracker {
     }
 
     /// Records a transmitted frame and its scheduling fan-out, evicting the
-    /// oldest ledger entries past the capacity bound.
-    pub fn on_tx(&mut self, tx_id: u64, channel: u8, scheduled: u32, culled: u32, suppressed: u32) {
+    /// oldest ledger entries past the capacity bound. The four counts
+    /// partition the frame's peers.
+    pub fn on_tx(
+        &mut self,
+        tx_id: u64,
+        channel: u8,
+        scheduled: u32,
+        culled: u32,
+        elided: u32,
+        suppressed: u32,
+    ) {
         self.totals.tx_frames += 1;
         self.totals.scheduled_rx_starts += u64::from(scheduled);
         self.totals.culled_unreachable += u64::from(culled);
+        self.totals.elided += u64::from(elided);
         self.totals.suppressed_not_listening += u64::from(suppressed);
         self.packets.insert(
             tx_id,
@@ -90,6 +113,7 @@ impl DeliveryTracker {
                 channel,
                 scheduled,
                 culled,
+                elided,
                 suppressed,
                 heard: 0,
                 delivered: 0,
@@ -101,12 +125,34 @@ impl DeliveryTracker {
         }
     }
 
-    /// Records one additional late-scheduled `RxStart` for an in-flight
-    /// frame (a receiver that opened on the channel after `TxStart`).
+    /// Records one late-scheduled `RxStart` for an in-flight frame: a
+    /// receiver that opened, retuned or locked after `TxStart` and can now
+    /// react to the frame. The edge leaves a skipped class so the partition
+    /// still sums to the peer count: `elided` while the frame has any left
+    /// (the ledger does not know which class the receiver was in at
+    /// `TxStart`), otherwise `suppressed`. An evicted frame decides by the
+    /// totals instead.
     pub fn on_late_scheduled(&mut self, tx_id: u64) {
-        self.totals.scheduled_rx_starts += 1;
-        if let Some(p) = self.packets.get_mut(&tx_id) {
-            p.scheduled = p.scheduled.saturating_add(1);
+        let from_elided = match self.packets.get_mut(&tx_id) {
+            Some(p) => {
+                p.scheduled = p.scheduled.saturating_add(1);
+                let from_elided = p.elided > 0;
+                if from_elided {
+                    p.elided -= 1;
+                } else {
+                    p.suppressed = p.suppressed.saturating_sub(1);
+                }
+                from_elided
+            }
+            None => self.totals.elided > 0,
+        };
+        let t = &mut self.totals;
+        t.scheduled_rx_starts += 1;
+        t.late_scheduled += 1;
+        if from_elided {
+            t.elided -= 1;
+        } else {
+            t.suppressed_not_listening = t.suppressed_not_listening.saturating_sub(1);
         }
     }
 
@@ -184,7 +230,7 @@ mod tests {
     #[test]
     fn tracks_per_packet_counts() {
         let mut t = DeliveryTracker::new(8);
-        t.on_tx(1, 5, 3, 1, 10);
+        t.on_tx(1, 5, 3, 1, 2, 10);
         t.on_heard(1);
         t.on_heard(1);
         t.on_delivered(1);
@@ -192,6 +238,7 @@ mod tests {
         assert_eq!(p.channel, 5);
         assert_eq!(p.scheduled, 3);
         assert_eq!(p.culled, 1);
+        assert_eq!(p.elided, 2);
         assert_eq!(p.suppressed, 10);
         assert_eq!(p.heard, 2);
         assert_eq!(p.delivered, 1);
@@ -205,7 +252,7 @@ mod tests {
     fn evicts_oldest_past_capacity_but_keeps_totals() {
         let mut t = DeliveryTracker::new(2);
         for id in 0..5u64 {
-            t.on_tx(id, 0, 1, 0, 0);
+            t.on_tx(id, 0, 1, 0, 0, 0);
         }
         assert_eq!(t.len(), 2);
         assert!(t.packet(0).is_none(), "oldest evicted");
@@ -220,10 +267,45 @@ mod tests {
     #[test]
     fn late_scheduling_joins_the_ledger() {
         let mut t = DeliveryTracker::new(4);
-        t.on_tx(7, 12, 2, 0, 5);
+        t.on_tx(7, 12, 2, 0, 0, 5);
         t.on_late_scheduled(7);
         assert_eq!(t.packet(7).expect("retained").scheduled, 3);
         assert_eq!(t.totals().scheduled_rx_starts, 3);
+        assert_eq!(t.totals().late_scheduled, 1);
+    }
+
+    /// `scheduled + culled + elided + suppressed` of a ledger entry.
+    fn classes(p: PacketDelivery) -> u32 {
+        p.scheduled + p.culled + p.elided + p.suppressed
+    }
+
+    #[test]
+    fn fan_out_classes_partition_the_peers_across_late_scheduling() {
+        // 10 peers: 2 scheduled, 1 culled, 3 elided, 4 not listening.
+        let mut t = DeliveryTracker::new(1);
+        t.on_tx(0, 9, 2, 1, 3, 4);
+        assert_eq!(classes(t.packet(0).expect("retained")), 10);
+        // Four late edges: three drain `elided`, the fourth `suppressed`.
+        for _ in 0..4 {
+            t.on_late_scheduled(0);
+            assert_eq!(classes(t.packet(0).expect("retained")), 10);
+        }
+        let p = t.packet(0).expect("retained");
+        assert_eq!((p.scheduled, p.elided, p.suppressed), (6, 0, 3));
+        // A second frame evicts the first; a late edge for the evicted
+        // frame still keeps the totals partitioned.
+        t.on_tx(1, 9, 1, 0, 9, 0);
+        t.on_late_scheduled(0);
+        let totals = t.totals();
+        assert_eq!(
+            totals.scheduled_rx_starts
+                + totals.culled_unreachable
+                + totals.elided
+                + totals.suppressed_not_listening,
+            20
+        );
+        assert_eq!(totals.scheduled_rx_starts, 8);
+        assert_eq!(totals.elided, 8);
     }
 
     #[test]
@@ -238,8 +320,8 @@ mod tests {
     #[test]
     fn mean_rates() {
         let mut t = DeliveryTracker::new(8);
-        t.on_tx(0, 0, 4, 0, 0);
-        t.on_tx(1, 0, 2, 0, 0);
+        t.on_tx(0, 0, 4, 0, 0, 0);
+        t.on_tx(1, 0, 2, 0, 0, 0);
         t.on_delivered(0);
         t.on_delivered(0);
         t.on_delivered(1);
@@ -250,8 +332,8 @@ mod tests {
     #[test]
     fn capacity_is_clamped_to_one() {
         let mut t = DeliveryTracker::new(0);
-        t.on_tx(0, 0, 1, 0, 0);
-        t.on_tx(1, 0, 1, 0, 0);
+        t.on_tx(0, 0, 1, 0, 0, 0);
+        t.on_tx(1, 0, 1, 0, 0, 0);
         assert_eq!(t.len(), 1);
         assert_eq!(t.totals().evicted_packets, 1);
     }

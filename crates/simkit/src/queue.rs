@@ -12,6 +12,14 @@ use crate::time::Instant;
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct EventId(u64);
 
+impl EventId {
+    /// The id `n` places after this one: the `n`-th id of a block reserved
+    /// by [`EventQueue::reserve`] when `self` is the block's base.
+    pub const fn offset(self, n: u64) -> EventId {
+        EventId(self.0 + n)
+    }
+}
+
 /// Identity hasher for [`EventId`] tombstones. Ids are already unique
 /// sequence numbers, and the tombstone lookup sits on the hot `pop` path —
 /// SipHash would cost more than the heap operation it guards.
@@ -70,6 +78,12 @@ impl<E> Ord for Entry<E> {
 /// A min-heap of timestamped events with stable FIFO ordering for ties and
 /// O(log n) cancellation via tombstones.
 ///
+/// Events pop in `(time, id)` key order, and ids are handed out in
+/// scheduling order. [`EventQueue::reserve`] takes a block of ids up front
+/// so that an event scheduled later with [`EventQueue::schedule_reserved`]
+/// sorts exactly where it would have sorted had it been scheduled at
+/// reservation time.
+///
 /// The queue tracks the current simulation time: popping an event advances
 /// `now` to that event's timestamp, and scheduling in the past is clamped to
 /// `now` (events never fire retroactively).
@@ -92,6 +106,8 @@ pub struct EventQueue<E> {
     cancelled: IdTombstones,
     next_id: u64,
     now: Instant,
+    /// Key of the most recently popped event (`None` before the first pop).
+    last: Option<(Instant, EventId)>,
 }
 
 impl<E> Default for EventQueue<E> {
@@ -117,6 +133,7 @@ impl<E> EventQueue<E> {
             cancelled: IdTombstones::default(),
             next_id: 0,
             now: Instant::ZERO,
+            last: None,
         }
     }
 
@@ -136,6 +153,44 @@ impl<E> EventQueue<E> {
             event,
         });
         id
+    }
+
+    /// Takes a block of `n` consecutive ids without scheduling anything and
+    /// returns the first; `base.offset(i)` for `i < n` names the rest. Ids
+    /// taken later sort after the whole block.
+    pub fn reserve(&mut self, n: u64) -> EventId {
+        let base = EventId(self.next_id);
+        self.next_id += n;
+        base
+    }
+
+    /// Schedules `event` under an id from a block taken by
+    /// [`EventQueue::reserve`]. Each reserved id must be scheduled at most
+    /// once, and only while [`EventQueue::is_ahead`] holds for its key:
+    /// debug builds assert it, release builds clamp a past time to `now`
+    /// like [`EventQueue::schedule_at`].
+    pub fn schedule_reserved(&mut self, at: Instant, id: EventId, event: E) {
+        debug_assert!(id.0 < self.next_id, "id {id:?} was never reserved");
+        debug_assert!(
+            self.is_ahead(at, id),
+            "reserved key {at:?}/{id:?} already passed"
+        );
+        self.heap.push(Entry {
+            at: at.max(self.now),
+            id,
+            event,
+        });
+    }
+
+    /// Whether an event keyed `(at, id)` would still pop after the event
+    /// popped last: it lies in the future, or at `now` with an id ordered
+    /// after the last popped one (or `now` moved on since that pop).
+    pub fn is_ahead(&self, at: Instant, id: EventId) -> bool {
+        match at.cmp(&self.now) {
+            Ordering::Greater => true,
+            Ordering::Less => false,
+            Ordering::Equal => self.last.is_none_or(|last| last < (at, id)),
+        }
     }
 
     /// Schedules `event` at `now + delay`.
@@ -158,6 +213,7 @@ impl<E> EventQueue<E> {
             }
             debug_assert!(entry.at >= self.now, "event queue time went backwards");
             self.now = entry.at;
+            self.last = Some((entry.at, entry.id));
             return Some((entry.at, entry.event));
         }
         None
@@ -272,6 +328,39 @@ mod tests {
         q.cancel(a);
         q.schedule_after(Duration::ZERO, "b");
         assert_eq!(q.pop().map(|(_, e)| e), Some("b"));
+    }
+
+    #[test]
+    fn reserved_ids_sort_where_they_were_reserved() {
+        let mut q = EventQueue::new();
+        let t = Instant::from_micros(5);
+        q.schedule_at(t, "before");
+        let block = q.reserve(3);
+        q.schedule_at(t, "after");
+        // Scheduled out of order and after "after" was queued, the block
+        // still pops between the two, in id order.
+        q.schedule_reserved(t, block.offset(2), "r2");
+        q.schedule_reserved(t, block.offset(0), "r0");
+        let order: Vec<&str> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
+        assert_eq!(order, vec!["before", "r0", "r2", "after"]);
+    }
+
+    #[test]
+    fn is_ahead_compares_against_the_last_popped_key() {
+        let mut q = EventQueue::new();
+        let t = Instant::from_micros(5);
+        let block = q.reserve(3);
+        assert!(q.is_ahead(Instant::ZERO, block), "nothing popped yet");
+        q.schedule_reserved(t, block.offset(1), ());
+        q.pop();
+        assert!(!q.is_ahead(t, block), "same instant, earlier id: passed");
+        assert!(!q.is_ahead(t, block.offset(1)), "the popped key itself");
+        assert!(q.is_ahead(t, block.offset(2)), "same instant, later id");
+        assert!(!q.is_ahead(Instant::from_micros(4), block.offset(2)));
+        assert!(q.is_ahead(Instant::from_micros(6), block));
+        // Once `now` moves past the last pop, every key at `now` is ahead.
+        q.advance_to(Instant::from_micros(9));
+        assert!(q.is_ahead(Instant::from_micros(9), block));
     }
 
     #[test]
