@@ -28,6 +28,7 @@ use std::collections::BTreeMap;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 
+use ble_telemetry::json::{self, Value};
 use ble_telemetry::{HistogramUs, SpanKind};
 
 use crate::cli::Cli;
@@ -507,7 +508,7 @@ pub fn run_point(
 }
 
 // ---------------------------------------------------------------------
-// Checkpoint sidecar (JSONL, hand-rolled like the artefact writer)
+// Checkpoint sidecar (JSONL, read and escaped through `ble_telemetry::json`)
 // ---------------------------------------------------------------------
 
 /// Identity of a campaign: a checkpoint line only resumes a campaign whose
@@ -558,10 +559,6 @@ fn hist_checkpoint_json(h: Option<&HistogramUs>) -> String {
 }
 
 fn checkpoint_line(header: &CampaignHeader, next_chunk: u64, acc: &SeriesAccumulator) -> String {
-    debug_assert!(
-        !header.parameter.contains(['"', '\\']),
-        "parameter names are plain identifiers"
-    );
     let raw: Vec<String> = acc.raw.iter().map(u32::to_string).collect();
     let phases: Vec<String> = acc
         .phase_profile
@@ -583,7 +580,7 @@ fn checkpoint_line(header: &CampaignHeader, next_chunk: u64, acc: &SeriesAccumul
         header.seed,
         header.count,
         header.chunk_size,
-        header.parameter,
+        json::escaped(&header.parameter),
         f64_bits_hex(header.value),
         acc.requested,
         acc.completed,
@@ -653,18 +650,17 @@ fn load_checkpoint(path: &Path, header: &CampaignHeader) -> Loaded {
         if line.is_empty() {
             continue;
         }
-        let Some(val) = json::parse(line) else {
+        let Ok(obj @ Value::Obj(_)) = json::parse(line) else {
             continue;
         };
-        let Some(obj) = val.as_obj() else { continue };
         saw_any_valid = true;
-        if !header_matches(obj, header) {
+        if !header_matches(&obj, header) {
             continue;
         }
-        let Some(next_chunk) = json::get(obj, "next_chunk").and_then(json::Val::as_u64) else {
+        let Some(next_chunk) = obj.get("next_chunk").and_then(Value::as_num) else {
             continue;
         };
-        let Some(acc) = json::get(obj, "acc").and_then(|v| acc_from_json(v, header)) else {
+        let Some(acc) = obj.get("acc").and_then(|v| acc_from_json(v, header)) else {
             continue;
         };
         best = Some((next_chunk, acc));
@@ -676,308 +672,92 @@ fn load_checkpoint(path: &Path, header: &CampaignHeader) -> Loaded {
     }
 }
 
-fn header_matches(obj: &[(String, json::Val)], header: &CampaignHeader) -> bool {
-    json::get(obj, "v").and_then(json::Val::as_u64) == Some(CHECKPOINT_VERSION)
-        && json::get(obj, "seed").and_then(json::Val::as_u64) == Some(header.seed)
-        && json::get(obj, "count").and_then(json::Val::as_u64) == Some(header.count)
-        && json::get(obj, "chunk_size").and_then(json::Val::as_u64) == Some(header.chunk_size)
-        && json::get(obj, "parameter").and_then(json::Val::as_str)
-            == Some(header.parameter.as_str())
-        && json::get(obj, "value_bits").and_then(json::Val::as_str)
-            == Some(f64_bits_hex(header.value).as_str())
+fn header_matches(obj: &Value, header: &CampaignHeader) -> bool {
+    let num = |key| obj.get(key).and_then(Value::as_num::<u64>);
+    let text = |key| obj.get(key).and_then(Value::as_str);
+    num("v") == Some(CHECKPOINT_VERSION)
+        && num("seed") == Some(header.seed)
+        && num("count") == Some(header.count)
+        && num("chunk_size") == Some(header.chunk_size)
+        && text("parameter") == Some(header.parameter.as_str())
+        && text("value_bits") == Some(f64_bits_hex(header.value).as_str())
 }
 
-fn hist_from_json(v: &json::Val) -> Option<Option<HistogramUs>> {
-    if v.is_null() {
+/// An `f64` stored as its bit pattern under `key`.
+fn f64_bits_at(obj: &Value, key: &str) -> Option<f64> {
+    obj.get(key)?.as_str().and_then(f64_from_bits_hex)
+}
+
+fn hist_from_json(v: &Value) -> Option<Option<HistogramUs>> {
+    if *v == Value::Null {
         return Some(None);
     }
-    let obj = v.as_obj()?;
-    let bounds: Vec<f64> = json::get(obj, "bounds_bits")?
+    let bounds: Vec<f64> = v
+        .get("bounds_bits")?
         .as_arr()?
         .iter()
         .map(|b| b.as_str().and_then(f64_from_bits_hex))
         .collect::<Option<_>>()?;
-    let counts: Vec<u64> = json::get(obj, "counts")?
+    let counts: Vec<u64> = v
+        .get("counts")?
         .as_arr()?
         .iter()
-        .map(json::Val::as_u64)
+        .map(Value::as_num)
         .collect::<Option<_>>()?;
-    let count = json::get(obj, "count")?.as_u64()?;
-    let sum = json::get(obj, "sum_bits")?
-        .as_str()
-        .and_then(f64_from_bits_hex)?;
-    let min = json::get(obj, "min_bits")?
-        .as_str()
-        .and_then(f64_from_bits_hex)?;
-    let max = json::get(obj, "max_bits")?
-        .as_str()
-        .and_then(f64_from_bits_hex)?;
     Some(Some(HistogramUs::from_parts(
-        bounds, counts, count, sum, min, max,
+        bounds,
+        counts,
+        v.get("count")?.as_num()?,
+        f64_bits_at(v, "sum_bits")?,
+        f64_bits_at(v, "min_bits")?,
+        f64_bits_at(v, "max_bits")?,
     )?))
 }
 
-fn acc_from_json(v: &json::Val, header: &CampaignHeader) -> Option<SeriesAccumulator> {
-    let obj = v.as_obj()?;
-    let requested = json::get(obj, "requested")?.as_u64()?;
+fn acc_from_json(v: &Value, header: &CampaignHeader) -> Option<SeriesAccumulator> {
+    let num = |key| v.get(key).and_then(Value::as_num::<u64>);
+    let requested = num("requested")?;
     if requested != header.count {
         return None;
     }
-    let completed = json::get(obj, "completed")?.as_u64()?;
-    let panicked = json::get(obj, "panicked")?.as_u64()?;
-    let raw: Vec<u32> = json::get(obj, "raw")?
+    let completed = num("completed")?;
+    let raw: Vec<u32> = v
+        .get("raw")?
         .as_arr()?
         .iter()
-        .map(json::Val::as_u32)
+        .map(Value::as_num)
         .collect::<Option<_>>()?;
     if (raw.len() as u64) > completed {
         return None;
     }
     let mut phase_profile = Vec::new();
-    for p in json::get(obj, "phases")?.as_arr()? {
-        let p = p.as_obj()?;
+    for p in v.get("phases")?.as_arr()? {
+        let num = |key| p.get(key).and_then(Value::as_num::<u64>);
         // Resolve the phase name back to its `&'static str`; an unknown
         // name means the sidecar came from an incompatible build.
-        let kind = SpanKind::parse(json::get(p, "phase")?.as_str()?)?;
+        let kind = SpanKind::parse(p.get("phase")?.as_str()?)?;
         phase_profile.push(PhaseProfile {
             phase: kind.as_str(),
-            count: json::get(p, "count")?.as_u64()?,
-            sim_ns: json::get(p, "sim_ns")?.as_u64()?,
-            self_sim_ns: json::get(p, "self_sim_ns")?.as_u64()?,
-            wall_ns: json::get(p, "wall_ns")?.as_u64()?,
-            self_wall_ns: json::get(p, "self_wall_ns")?.as_u64()?,
+            count: num("count")?,
+            sim_ns: num("sim_ns")?,
+            self_sim_ns: num("self_sim_ns")?,
+            wall_ns: num("wall_ns")?,
+            self_wall_ns: num("self_wall_ns")?,
         });
     }
     Some(SeriesAccumulator {
         requested,
         completed,
-        panicked,
+        panicked: num("panicked")?,
         raw,
-        unconfirmed_effects: json::get(obj, "unconfirmed")?.as_u64()?,
-        telemetry_downgrades: json::get(obj, "downgrades")?.as_u64()?,
-        anchor_error: hist_from_json(json::get(obj, "anchor")?)?,
-        lead_time: hist_from_json(json::get(obj, "lead")?)?,
-        events_sum: json::get(obj, "events_sum_bits")?
-            .as_str()
-            .and_then(f64_from_bits_hex)?,
-        events_n: json::get(obj, "events_n")?.as_u64()?,
+        unconfirmed_effects: num("unconfirmed")?,
+        telemetry_downgrades: num("downgrades")?,
+        anchor_error: hist_from_json(v.get("anchor")?)?,
+        lead_time: hist_from_json(v.get("lead")?)?,
+        events_sum: f64_bits_at(v, "events_sum_bits")?,
+        events_n: num("events_n")?,
         phase_profile,
     })
-}
-
-/// Minimal JSON reader for the checkpoint sidecar. Numbers keep their raw
-/// token so `u64` values round-trip exactly (a shared `f64` representation
-/// would corrupt large seeds); the perfgate gate has a cousin of this
-/// reader for artefact comparison.
-mod json {
-    /// A parsed JSON value.
-    #[derive(Debug, Clone, PartialEq)]
-    pub enum Val {
-        Null,
-        Bool(bool),
-        Num(String),
-        Str(String),
-        Arr(Vec<Val>),
-        Obj(Vec<(String, Val)>),
-    }
-
-    impl Val {
-        pub fn as_u64(&self) -> Option<u64> {
-            match self {
-                Val::Num(s) => s.parse().ok(),
-                _ => None,
-            }
-        }
-
-        pub fn as_u32(&self) -> Option<u32> {
-            match self {
-                Val::Num(s) => s.parse().ok(),
-                _ => None,
-            }
-        }
-
-        pub fn as_str(&self) -> Option<&str> {
-            match self {
-                Val::Str(s) => Some(s),
-                _ => None,
-            }
-        }
-
-        pub fn as_arr(&self) -> Option<&[Val]> {
-            match self {
-                Val::Arr(v) => Some(v),
-                _ => None,
-            }
-        }
-
-        pub fn as_obj(&self) -> Option<&[(String, Val)]> {
-            match self {
-                Val::Obj(v) => Some(v),
-                _ => None,
-            }
-        }
-
-        pub fn is_null(&self) -> bool {
-            matches!(self, Val::Null)
-        }
-    }
-
-    /// First value for `key` in an object's entry list.
-    pub fn get<'a>(obj: &'a [(String, Val)], key: &str) -> Option<&'a Val> {
-        obj.iter().find(|(k, _)| k == key).map(|(_, v)| v)
-    }
-
-    /// Parses one complete JSON value; `None` on any malformation
-    /// (including trailing garbage) — a torn checkpoint line must never
-    /// half-parse.
-    pub fn parse(text: &str) -> Option<Val> {
-        let bytes = text.as_bytes();
-        let mut pos = 0usize;
-        let val = parse_value(bytes, &mut pos)?;
-        skip_ws(bytes, &mut pos);
-        if pos != bytes.len() {
-            return None;
-        }
-        Some(val)
-    }
-
-    fn skip_ws(b: &[u8], pos: &mut usize) {
-        while b.get(*pos).is_some_and(|c| c.is_ascii_whitespace()) {
-            *pos += 1;
-        }
-    }
-
-    fn eat(b: &[u8], pos: &mut usize, c: u8) -> Option<()> {
-        skip_ws(b, pos);
-        if b.get(*pos) == Some(&c) {
-            *pos += 1;
-            Some(())
-        } else {
-            None
-        }
-    }
-
-    fn parse_value(b: &[u8], pos: &mut usize) -> Option<Val> {
-        skip_ws(b, pos);
-        match b.get(*pos)? {
-            b'{' => parse_obj(b, pos),
-            b'[' => parse_arr(b, pos),
-            b'"' => parse_str(b, pos).map(Val::Str),
-            b'n' => parse_lit(b, pos, "null", Val::Null),
-            b't' => parse_lit(b, pos, "true", Val::Bool(true)),
-            b'f' => parse_lit(b, pos, "false", Val::Bool(false)),
-            _ => parse_num(b, pos),
-        }
-    }
-
-    fn parse_lit(b: &[u8], pos: &mut usize, lit: &str, val: Val) -> Option<Val> {
-        if b[*pos..].starts_with(lit.as_bytes()) {
-            *pos += lit.len();
-            Some(val)
-        } else {
-            None
-        }
-    }
-
-    fn parse_num(b: &[u8], pos: &mut usize) -> Option<Val> {
-        let start = *pos;
-        while b
-            .get(*pos)
-            .is_some_and(|c| c.is_ascii_digit() || matches!(c, b'-' | b'+' | b'.' | b'e' | b'E'))
-        {
-            *pos += 1;
-        }
-        if *pos == start {
-            return None;
-        }
-        let s = std::str::from_utf8(&b[start..*pos]).ok()?;
-        // Must at least parse as a float to count as a number token.
-        s.parse::<f64>().ok()?;
-        Some(Val::Num(s.to_string()))
-    }
-
-    fn parse_str(b: &[u8], pos: &mut usize) -> Option<String> {
-        eat(b, pos, b'"')?;
-        let mut out = String::new();
-        loop {
-            match b.get(*pos)? {
-                b'"' => {
-                    *pos += 1;
-                    return Some(out);
-                }
-                b'\\' => {
-                    *pos += 1;
-                    match b.get(*pos)? {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'n' => out.push('\n'),
-                        b't' => out.push('\t'),
-                        // The writer emits no other escapes.
-                        _ => return None,
-                    }
-                    *pos += 1;
-                }
-                _ => {
-                    // Collect a maximal run of plain bytes (valid UTF-8 by
-                    // construction: the input is a &str).
-                    let start = *pos;
-                    while b.get(*pos).is_some_and(|c| *c != b'"' && *c != b'\\') {
-                        *pos += 1;
-                    }
-                    out.push_str(std::str::from_utf8(&b[start..*pos]).ok()?);
-                }
-            }
-        }
-    }
-
-    fn parse_arr(b: &[u8], pos: &mut usize) -> Option<Val> {
-        eat(b, pos, b'[')?;
-        let mut items = Vec::new();
-        skip_ws(b, pos);
-        if b.get(*pos) == Some(&b']') {
-            *pos += 1;
-            return Some(Val::Arr(items));
-        }
-        loop {
-            items.push(parse_value(b, pos)?);
-            skip_ws(b, pos);
-            match b.get(*pos)? {
-                b',' => *pos += 1,
-                b']' => {
-                    *pos += 1;
-                    return Some(Val::Arr(items));
-                }
-                _ => return None,
-            }
-        }
-    }
-
-    fn parse_obj(b: &[u8], pos: &mut usize) -> Option<Val> {
-        eat(b, pos, b'{')?;
-        let mut entries = Vec::new();
-        skip_ws(b, pos);
-        if b.get(*pos) == Some(&b'}') {
-            *pos += 1;
-            return Some(Val::Obj(entries));
-        }
-        loop {
-            skip_ws(b, pos);
-            let key = parse_str(b, pos)?;
-            eat(b, pos, b':')?;
-            let val = parse_value(b, pos)?;
-            entries.push((key, val));
-            skip_ws(b, pos);
-            match b.get(*pos)? {
-                b',' => *pos += 1,
-                b'}' => {
-                    *pos += 1;
-                    return Some(Val::Obj(entries));
-                }
-                _ => return None,
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -1121,20 +901,101 @@ mod tests {
                 self_wall_ns: 4,
             }],
         );
+        // A parameter name with a quote, a backslash and a control
+        // character exercises the shared escaper on the write side.
         let header = CampaignHeader {
             seed: 9,
             count: 40,
             chunk_size: 8,
-            parameter: "p".into(),
+            parameter: "p \"q\" \\ \u{1}".into(),
             value: 2.5,
         };
         let line = checkpoint_line(&header, 4, &acc);
-        let val = json::parse(&line).expect("checkpoint line parses");
-        let obj = val.as_obj().unwrap();
-        assert!(header_matches(obj, &header));
-        assert_eq!(json::get(obj, "next_chunk").unwrap().as_u64(), Some(4));
-        let decoded = acc_from_json(json::get(obj, "acc").unwrap(), &header).unwrap();
+        assert!(!line.contains('\u{1}'), "control characters are escaped");
+        let obj = json::parse(&line).expect("checkpoint line parses");
+        assert!(header_matches(&obj, &header));
+        assert_eq!(obj.get("next_chunk").unwrap().as_num::<u64>(), Some(4));
+        let decoded = acc_from_json(obj.get("acc").unwrap(), &header).unwrap();
         assert_eq!(decoded, acc);
+    }
+
+    fn sample_checkpoint_line() -> (CampaignHeader, String) {
+        let header = CampaignHeader {
+            seed: 3,
+            count: 20,
+            chunk_size: 5,
+            parameter: "p".into(),
+            value: 1.0,
+        };
+        let mut acc = SeriesAccumulator::new(20);
+        for i in 0..4 {
+            acc.fold(&synth_outcome(&base_cfg(trial_seed(3, i))));
+        }
+        let line = checkpoint_line(&header, 1, &acc);
+        (header, line)
+    }
+
+    #[test]
+    fn deeply_nested_sidecar_line_is_skipped_not_fatal() {
+        let dir = std::env::temp_dir().join("bench-campaign-test-nesting");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("nesting.jsonl");
+        let (header, _) = sample_checkpoint_line();
+        std::fs::write(&path, "[".repeat(100_000)).unwrap();
+        assert!(matches!(load_checkpoint(&path, &header), Loaded::Fresh));
+        // After a good line the hostile one is skipped like a torn tail.
+        std::fs::remove_file(&path).ok();
+        write_checkpoint(&path, &header, 1, &SeriesAccumulator::new(20));
+        let mut text = std::fs::read_to_string(&path).unwrap();
+        text.push_str(&"[".repeat(100_000));
+        std::fs::write(&path, text).unwrap();
+        assert!(matches!(
+            load_checkpoint(&path, &header),
+            Loaded::Resume(1, _)
+        ));
+        std::fs::remove_file(&path).ok();
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn checkpoint_loading_survives_arbitrary_bytes(
+            bytes in proptest::collection::vec(proptest::arbitrary::any::<u8>(), 0..256),
+        ) {
+            let dir = std::env::temp_dir().join("bench-campaign-test-hostile");
+            std::fs::create_dir_all(&dir).unwrap();
+            let path = dir.join("hostile.jsonl");
+            let (header, line) = sample_checkpoint_line();
+            // The bytes as a whole sidecar, then spliced into a valid line
+            // at a byte-derived offset (the line is ASCII, so any cut is a
+            // char boundary).
+            let cut = bytes.first().map_or(0, |&b| usize::from(b) * line.len() / 256);
+            let mut spliced = line.as_bytes()[..cut].to_vec();
+            spliced.extend_from_slice(&bytes);
+            spliced.extend_from_slice(&line.as_bytes()[cut..]);
+            for text in [&bytes, &spliced] {
+                std::fs::write(&path, text).unwrap();
+                let _ = load_checkpoint(&path, &header);
+            }
+            std::fs::remove_file(&path).ok();
+        }
+    }
+
+    #[test]
+    fn every_truncation_of_a_checkpoint_line_is_rejected() {
+        let (header, line) = sample_checkpoint_line();
+        assert!(json::parse(&line).is_ok());
+        let dir = std::env::temp_dir().join("bench-campaign-test-truncations");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("truncated.jsonl");
+        for cut in 0..line.len() {
+            assert!(json::parse(&line[..cut]).is_err(), "prefix {cut} parsed");
+        }
+        // Sampled through the file path too: a torn line never resumes.
+        for cut in (0..line.len()).step_by(37) {
+            std::fs::write(&path, &line[..cut]).unwrap();
+            assert!(matches!(load_checkpoint(&path, &header), Loaded::Fresh));
+        }
+        std::fs::remove_file(&path).ok();
     }
 
     #[test]

@@ -3,7 +3,7 @@
 use std::io::Write as _;
 use std::path::PathBuf;
 
-use serde::Serialize;
+use ble_telemetry::json;
 
 use crate::campaign::SeriesAccumulator;
 use crate::stats::Summary;
@@ -12,7 +12,7 @@ use crate::trial::{TrialOutcome, TrialSeries};
 
 /// One row of an experiment series: a parameter value and its outcome
 /// distribution.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct SeriesReport {
     /// The swept parameter's name.
     pub parameter: String,
@@ -286,8 +286,8 @@ pub fn artefact_dir() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../target/experiments")
 }
 
-/// Minimal JSON encoding (serde-derive model, hand-rolled writer keeps the
-/// dependency surface small).
+/// JSON encoding of a series, formatted by hand with every string passed
+/// through the shared [`json::escaped`].
 ///
 /// Artefact bytes are a pure function of the row values: every field is a
 /// scalar, `Vec` (seed order) or fixed-shape histogram summary — there is no
@@ -307,7 +307,7 @@ pub fn rows_to_json(rows: &[SeriesReport]) -> String {
              \"variance\":{:.3},\"raw\":{:?},\"anchor_error_us\":{},\
              \"lead_time_us\":{},\"events_per_sec\":{},\
              \"trials_per_sec\":{:.1},\"peak_rss_kb\":{}",
-            r.parameter,
+            json::escaped(&r.parameter),
             r.value,
             r.succeeded,
             r.trials,
@@ -352,7 +352,7 @@ pub fn rows_to_json(rows: &[SeriesReport]) -> String {
         // Extra columns, like the anomaly counters, appear only when an
         // experiment attached them — absent keys, not zeros.
         for (name, value) in &r.extras {
-            out.push_str(&format!(",\"{name}\":{value:.4}"));
+            out.push_str(&format!(",\"{}\":{value:.4}", json::escaped(name)));
         }
         out.push_str(&format!(
             ",\"phase_profile\":{}",
@@ -387,7 +387,12 @@ fn phase_profile_json(rows: &[PhaseProfile]) -> String {
         out.push_str(&format!(
             "{{\"phase\":\"{}\",\"count\":{},\"sim_ns\":{},\"self_sim_ns\":{},\
              \"wall_ns\":{},\"self_wall_ns\":{}}}",
-            p.phase, p.count, p.sim_ns, p.self_sim_ns, p.wall_ns, p.self_wall_ns
+            json::escaped(p.phase),
+            p.count,
+            p.sim_ns,
+            p.self_sim_ns,
+            p.wall_ns,
+            p.self_wall_ns
         ));
     }
     out.push(']');

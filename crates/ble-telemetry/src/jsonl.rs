@@ -1,22 +1,21 @@
 //! JSONL (one JSON object per line) sink and codec.
 //!
-//! The workspace's vendored `serde` is a compile-only shim, so the codec
-//! here is hand-rolled and deliberately flat: every record encodes to a
-//! single-level JSON object with scalar fields. Times are integer
-//! nanoseconds (exact round-trip); floating-point fields use Rust's
-//! shortest-round-trip `Display`, so [`parse_line`] is an exact inverse of
-//! [`to_line`] for every event the stack emits.
+//! Every record encodes to a single-level JSON object with scalar fields,
+//! strings escaped and lines read back by the shared [`crate::json`]
+//! module. Times are integer nanoseconds (exact round-trip);
+//! floating-point fields use Rust's shortest-round-trip `Display`, so
+//! [`parse_line`] is an exact inverse of [`to_line`] for every event the
+//! stack emits.
 
 use std::fmt::Write as _;
 use std::fs;
 use std::io::{self, Write};
-use std::iter::Peekable;
 use std::path::Path;
-use std::str::Chars;
 
 use simkit::{Duration, Instant};
 
 use crate::event::{AlertKind, FaultKind, LinkRole, LossReason, TelemetryEvent, Verdict};
+use crate::json::{self, Value};
 use crate::sink::{TelemetryRecord, TelemetrySink};
 use crate::span::SpanKind;
 
@@ -24,26 +23,8 @@ use crate::span::SpanKind;
 // encoding
 // ---------------------------------------------------------------------
 
-fn push_escaped(out: &mut String, s: &str) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if u32::from(c) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", u32::from(c));
-            }
-            c => out.push(c),
-        }
-    }
-}
-
 fn push_str_field(out: &mut String, key: &str, value: &str) {
-    let _ = write!(out, ",\"{key}\":\"");
-    push_escaped(out, value);
-    out.push('"');
+    let _ = write!(out, ",\"{key}\":\"{}\"", json::escaped(value));
 }
 
 /// Encodes one record as a single JSON line (no trailing newline).
@@ -245,163 +226,25 @@ pub fn to_line(record: &TelemetryRecord) -> String {
 }
 
 // ---------------------------------------------------------------------
-// decoding (minimal flat-object JSON parser)
+// decoding
 // ---------------------------------------------------------------------
 
-#[derive(Debug, Clone, PartialEq)]
-enum Field {
-    Str(String),
-    Num(String),
-    Bool(bool),
+fn get_str<'a>(fields: &'a Value, key: &str) -> Option<&'a str> {
+    fields.get(key)?.as_str()
 }
 
-struct Cursor<'a> {
-    it: Peekable<Chars<'a>>,
+fn get_num<T: std::str::FromStr>(fields: &Value, key: &str) -> Option<T> {
+    fields.get(key)?.as_num()
 }
 
-impl<'a> Cursor<'a> {
-    fn new(s: &'a str) -> Self {
-        Cursor {
-            it: s.chars().peekable(),
-        }
-    }
-
-    fn skip_ws(&mut self) {
-        while self.it.peek().is_some_and(|c| c.is_ascii_whitespace()) {
-            self.it.next();
-        }
-    }
-
-    fn eat(&mut self, want: char) -> bool {
-        self.skip_ws();
-        if self.it.peek() == Some(&want) {
-            self.it.next();
-            true
-        } else {
-            false
-        }
-    }
-
-    fn parse_string(&mut self) -> Option<String> {
-        if !self.eat('"') {
-            return None;
-        }
-        let mut out = String::new();
-        loop {
-            match self.it.next()? {
-                '"' => return Some(out),
-                '\\' => match self.it.next()? {
-                    '"' => out.push('"'),
-                    '\\' => out.push('\\'),
-                    '/' => out.push('/'),
-                    'n' => out.push('\n'),
-                    'r' => out.push('\r'),
-                    't' => out.push('\t'),
-                    'u' => {
-                        let mut hex = String::new();
-                        for _ in 0..4 {
-                            hex.push(self.it.next()?);
-                        }
-                        let code = u32::from_str_radix(&hex, 16).ok()?;
-                        out.push(char::from_u32(code)?);
-                    }
-                    _ => return None,
-                },
-                c => out.push(c),
-            }
-        }
-    }
-
-    fn parse_value(&mut self) -> Option<Field> {
-        self.skip_ws();
-        match self.it.peek()? {
-            '"' => self.parse_string().map(Field::Str),
-            't' | 'f' => {
-                let mut word = String::new();
-                while self.it.peek().is_some_and(|c| c.is_ascii_alphabetic()) {
-                    word.extend(self.it.next());
-                }
-                match word.as_str() {
-                    "true" => Some(Field::Bool(true)),
-                    "false" => Some(Field::Bool(false)),
-                    _ => None,
-                }
-            }
-            _ => {
-                let mut num = String::new();
-                while self
-                    .it
-                    .peek()
-                    .is_some_and(|c| c.is_ascii_digit() || matches!(c, '-' | '+' | '.' | 'e' | 'E'))
-                {
-                    num.extend(self.it.next());
-                }
-                if num.is_empty() {
-                    None
-                } else {
-                    Some(Field::Num(num))
-                }
-            }
-        }
-    }
-}
-
-fn parse_object(line: &str) -> Option<Vec<(String, Field)>> {
-    let mut cur = Cursor::new(line);
-    if !cur.eat('{') {
-        return None;
-    }
-    let mut fields = Vec::new();
-    if cur.eat('}') {
-        return Some(fields);
-    }
-    loop {
-        cur.skip_ws();
-        let key = cur.parse_string()?;
-        if !cur.eat(':') {
-            return None;
-        }
-        let value = cur.parse_value()?;
-        fields.push((key, value));
-        if cur.eat(',') {
-            continue;
-        }
-        if cur.eat('}') {
-            return Some(fields);
-        }
-        return None;
-    }
-}
-
-fn get<'a>(fields: &'a [(String, Field)], key: &str) -> Option<&'a Field> {
-    fields.iter().find(|(k, _)| k == key).map(|(_, v)| v)
-}
-
-fn get_str<'a>(fields: &'a [(String, Field)], key: &str) -> Option<&'a str> {
-    match get(fields, key)? {
-        Field::Str(s) => Some(s),
-        Field::Num(_) | Field::Bool(_) => None,
-    }
-}
-
-fn get_num<T: std::str::FromStr>(fields: &[(String, Field)], key: &str) -> Option<T> {
-    match get(fields, key)? {
-        Field::Num(n) => n.parse().ok(),
-        Field::Str(_) | Field::Bool(_) => None,
-    }
-}
-
-fn get_bool(fields: &[(String, Field)], key: &str) -> Option<bool> {
-    match get(fields, key)? {
-        Field::Bool(b) => Some(*b),
-        Field::Str(_) | Field::Num(_) => None,
-    }
+fn get_bool(fields: &Value, key: &str) -> Option<bool> {
+    fields.get(key)?.as_bool()
 }
 
 /// Decodes one JSONL line back into a record. Exact inverse of [`to_line`];
 /// returns `None` on malformed input or an unknown `kind`.
 pub fn parse_line(line: &str) -> Option<TelemetryRecord> {
-    let fields = parse_object(line)?;
+    let fields = json::parse(line).ok()?;
     let at = Instant::from_nanos(get_num(&fields, "t_ns")?);
     let node: Option<u32> = get_num(&fields, "node");
     let kind = get_str(&fields, "kind")?;

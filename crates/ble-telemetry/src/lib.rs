@@ -8,7 +8,8 @@
 //!
 //! - [`RingBufferSink`] — a bounded in-memory ring for test assertions;
 //! - [`JsonlSink`] — one JSON object per line, for offline analysis and the
-//!   `timeline` renderer in the bench crate;
+//!   `timeline` renderer in the bench crate, written and read through
+//!   [`json`], the workspace's one JSON reader and string escaper;
 //! - [`MetricsSink`] — counters, gauges and fixed-bucket microsecond
 //!   histograms in a [`MetricsRegistry`] (injection lead time, anchor
 //!   prediction error, IFS deltas).
@@ -32,6 +33,7 @@
 
 pub mod delivery;
 pub mod event;
+pub mod json;
 pub mod jsonl;
 pub mod metrics;
 pub mod ring;

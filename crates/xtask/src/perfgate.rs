@@ -20,12 +20,17 @@
 //!   absent on either side (e.g. `peak_rss_kb` off Linux). They catch
 //!   order-of-magnitude slowdowns without flaking on machine variance.
 //!
+//! Artefacts are read with `ble_telemetry::json`, the reader every other
+//! workspace JSON consumer shares; numbers compare as `f64`.
+//!
 //! On failure the gate names the first regressed metric with both values
 //! and the rule it broke. `--update-baselines` re-captures the current
 //! artefacts as the new baselines (review the diff before committing).
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, ExitCode};
+
+use ble_telemetry::json::{self, Value};
 
 /// Every JSON-emitting experiment binary (the `json: true` rows of the
 /// determinism matrix). Non-JSON binaries have no artefact to gate.
@@ -110,179 +115,6 @@ fn optional(key: &str) -> bool {
 }
 
 // ---------------------------------------------------------------------------
-// Minimal JSON reader. The artefacts are produced by our own hand-rolled
-// writer (`bench::report::rows_to_json`), so this reader only needs the subset
-// that writer emits: objects, arrays, strings without escapes, numbers,
-// and `null`. Kept here rather than pulling in a JSON dependency.
-// ---------------------------------------------------------------------------
-
-#[derive(Debug, Clone, PartialEq)]
-enum Json {
-    Null,
-    Num(f64),
-    Str(String),
-    Arr(Vec<Json>),
-    Obj(Vec<(String, Json)>),
-}
-
-struct Reader<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn new(s: &'a str) -> Self {
-        Reader {
-            bytes: s.as_bytes(),
-            pos: 0,
-        }
-    }
-
-    fn skip_ws(&mut self) {
-        while self.pos < self.bytes.len() && self.bytes[self.pos].is_ascii_whitespace() {
-            self.pos += 1;
-        }
-    }
-
-    fn peek(&mut self) -> Option<u8> {
-        self.skip_ws();
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), String> {
-        match self.peek() {
-            Some(c) if c == b => {
-                self.pos += 1;
-                Ok(())
-            }
-            other => Err(format!(
-                "byte {}: expected `{}`, found {:?}",
-                self.pos,
-                b as char,
-                other.map(|c| c as char)
-            )),
-        }
-    }
-
-    fn value(&mut self) -> Result<Json, String> {
-        match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
-            Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b'n') => {
-                if self.bytes[self.pos..].starts_with(b"null") {
-                    self.pos += 4;
-                    Ok(Json::Null)
-                } else {
-                    Err(format!("byte {}: bad literal", self.pos))
-                }
-            }
-            Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
-            other => Err(format!(
-                "byte {}: unexpected {:?}",
-                self.pos,
-                other.map(|c| c as char)
-            )),
-        }
-    }
-
-    fn object(&mut self) -> Result<Json, String> {
-        self.expect(b'{')?;
-        let mut fields = Vec::new();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Json::Obj(fields));
-        }
-        loop {
-            let key = self.string()?;
-            self.expect(b':')?;
-            fields.push((key, self.value()?));
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Json::Obj(fields));
-                }
-                other => {
-                    return Err(format!(
-                        "byte {}: expected `,` or `}}`, found {:?}",
-                        self.pos,
-                        other.map(|c| c as char)
-                    ))
-                }
-            }
-        }
-    }
-
-    fn array(&mut self) -> Result<Json, String> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Json::Arr(items));
-        }
-        loop {
-            items.push(self.value()?);
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Json::Arr(items));
-                }
-                other => {
-                    return Err(format!(
-                        "byte {}: expected `,` or `]`, found {:?}",
-                        self.pos,
-                        other.map(|c| c as char)
-                    ))
-                }
-            }
-        }
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let start = self.pos;
-        while self.pos < self.bytes.len() && self.bytes[self.pos] != b'"' {
-            self.pos += 1;
-        }
-        if self.pos >= self.bytes.len() {
-            return Err("unterminated string".into());
-        }
-        let s = String::from_utf8_lossy(&self.bytes[start..self.pos]).into_owned();
-        self.pos += 1;
-        Ok(s)
-    }
-
-    fn number(&mut self) -> Result<Json, String> {
-        self.skip_ws();
-        let start = self.pos;
-        while self.pos < self.bytes.len()
-            && matches!(
-                self.bytes[self.pos],
-                b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E'
-            )
-        {
-            self.pos += 1;
-        }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).map_err(|e| e.to_string())?;
-        text.parse::<f64>()
-            .map(Json::Num)
-            .map_err(|_| format!("byte {start}: bad number `{text}`"))
-    }
-}
-
-fn parse_json(s: &str) -> Result<Json, String> {
-    let mut r = Reader::new(s);
-    let v = r.value()?;
-    r.skip_ws();
-    if r.pos != r.bytes.len() {
-        return Err(format!("trailing content at byte {}", r.pos));
-    }
-    Ok(v)
-}
-
-// ---------------------------------------------------------------------------
 // Flattening and comparison.
 // ---------------------------------------------------------------------------
 
@@ -295,24 +127,27 @@ struct Flat {
     shape: Vec<String>,
 }
 
-fn flatten(v: &Json, prefix: &str, out: &mut Flat) {
+fn flatten(v: &Value, prefix: &str, out: &mut Flat) {
     match v {
         // `null` (e.g. `peak_rss_kb` off Linux, absent histograms) flattens
         // to nothing: the key is simply missing on that side.
-        Json::Null => {}
-        Json::Num(n) => out.nums.push((prefix.to_string(), *n)),
-        Json::Str(s) => out.shape.push(format!("{prefix}={s}")),
-        Json::Arr(items) => {
+        Value::Null => {}
+        // Numbers compare as `f64`, whatever their token looks like.
+        Value::Num(_) => out.nums.extend(v.as_num().map(|n| (prefix.to_string(), n))),
+        Value::Bool(b) => out.shape.push(format!("{prefix}={b}")),
+        Value::Str(s) => out.shape.push(format!("{prefix}={s}")),
+        Value::Arr(items) => {
             for (i, item) in items.iter().enumerate() {
                 // Phase-profile rows are keyed by phase name, not position,
                 // so a newly-instrumented phase shifts nothing else.
-                let label = phase_name(item)
-                    .map(|p| format!("{prefix}[{p}]"))
-                    .unwrap_or_else(|| format!("{prefix}[{i}]"));
+                let label = match item.get("phase").and_then(Value::as_str) {
+                    Some(p) => format!("{prefix}[{p}]"),
+                    None => format!("{prefix}[{i}]"),
+                };
                 flatten(item, &label, out);
             }
         }
-        Json::Obj(fields) => {
+        Value::Obj(fields) => {
             for (k, item) in fields {
                 let label = if prefix.is_empty() {
                     k.clone()
@@ -323,19 +158,6 @@ fn flatten(v: &Json, prefix: &str, out: &mut Flat) {
             }
         }
     }
-}
-
-fn phase_name(v: &Json) -> Option<&str> {
-    if let Json::Obj(fields) = v {
-        for (k, val) in fields {
-            if k == "phase" {
-                if let Json::Str(s) = val {
-                    return Some(s);
-                }
-            }
-        }
-    }
-    None
 }
 
 /// Outcome of gating one artefact against its baseline.
@@ -351,9 +173,9 @@ struct GateStats {
 /// Returns the gate stats on pass; on failure, the first regressed metric
 /// with both values, the rule it broke, and the total regression count.
 fn compare_artefacts(name: &str, baseline: &str, current: &str) -> Result<GateStats, String> {
-    let base = parse_json(baseline).map_err(|e| format!("baseline for {name} unreadable: {e}"))?;
+    let base = json::parse(baseline).map_err(|e| format!("baseline for {name} unreadable: {e}"))?;
     let cur =
-        parse_json(current).map_err(|e| format!("current artefact for {name} unreadable: {e}"))?;
+        json::parse(current).map_err(|e| format!("current artefact for {name} unreadable: {e}"))?;
     let mut fb = Flat::default();
     flatten(&base, "", &mut fb);
     let mut fc = Flat::default();
@@ -746,7 +568,7 @@ mod tests {
     #[test]
     fn phase_rows_key_by_name_not_position() {
         let mut f = Flat::default();
-        let v = parse_json(
+        let v = json::parse(
             "{\"phase_profile\":[{\"phase\":\"trial-sync\",\"sim_ns\":5},\
              {\"phase\":\"trial-follow\",\"sim_ns\":7}]}",
         )
@@ -765,15 +587,61 @@ mod tests {
 
     #[test]
     fn reader_handles_the_writer_subset() {
-        let v = parse_json("[{\"a\":1.5,\"b\":null,\"c\":[1, 2],\"d\":\"x\"}]").unwrap();
-        let Json::Arr(items) = v else { panic!("array") };
-        let Json::Obj(fields) = &items[0] else {
-            panic!("object")
-        };
-        assert_eq!(fields[0], ("a".into(), Json::Num(1.5)));
-        assert_eq!(fields[1], ("b".into(), Json::Null));
-        assert!(parse_json("[1, 2] trailing").is_err());
-        assert!(parse_json("{\"open\":").is_err());
+        let mut f = Flat::default();
+        let v =
+            json::parse("[{\"a\":1.5,\"b\":null,\"c\":[1, 2],\"d\":\"x\",\"e\":true}]").unwrap();
+        flatten(&v, "", &mut f);
+        assert_eq!(
+            f.nums,
+            [
+                ("[0].a".into(), 1.5),
+                ("[0].c[0]".into(), 1.0),
+                ("[0].c[1]".into(), 2.0)
+            ]
+        );
+        assert_eq!(f.shape, ["[0].d=x", "[0].e=true"]);
+        for bad in ["[1, 2] trailing", "{\"open\":"] {
+            let err = compare_artefacts("exp1", bad, bad).unwrap_err();
+            assert!(err.contains("baseline for exp1 unreadable"), "{err}");
+        }
+    }
+
+    #[test]
+    fn hostile_nesting_is_unreadable_not_fatal() {
+        let good = artefact(2.2, 4000.0, 100_000);
+        let hostile = "[".repeat(100_000);
+        let err = compare_artefacts("exp1", &good, &hostile).unwrap_err();
+        assert!(
+            err.contains("current artefact for exp1 unreadable"),
+            "{err}"
+        );
+        assert!(err.contains("nesting too deep"), "{err}");
+        let err = compare_artefacts("exp1", &hostile, &good).unwrap_err();
+        assert!(err.contains("baseline for exp1 unreadable"), "{err}");
+    }
+
+    #[test]
+    fn committed_baselines_pass_against_themselves() {
+        let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../benchmarks/baselines");
+        let mut seen = 0;
+        for entry in std::fs::read_dir(&dir).unwrap() {
+            let path = entry.unwrap().path();
+            let file = path.file_name().unwrap().to_string_lossy().into_owned();
+            if !(file.starts_with("BENCH_") && file.ends_with(".json")) {
+                continue;
+            }
+            let text = std::fs::read_to_string(&path).unwrap();
+            let stats =
+                compare_artefacts(&file, &text, &text).unwrap_or_else(|e| panic!("{file}: {e}"));
+            assert!(stats.compared > 0, "{file}: no metric compared");
+            seen += 1;
+        }
+        // Every gated binary has a committed baseline.
+        assert!(
+            seen >= PERF_BINARIES.len(),
+            "only {seen} baselines in {}",
+            dir.display()
+        );
     }
 
     #[test]
