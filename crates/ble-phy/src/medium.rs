@@ -15,7 +15,7 @@
 //! window, arrives *first*, so the victim locks onto it; the legitimate
 //! Master frame then only matters as interference.
 
-use std::collections::BTreeMap;
+use std::collections::VecDeque;
 
 use ble_invariants::invariant;
 use ble_telemetry::{
@@ -270,6 +270,9 @@ struct ActiveTx {
     /// only; stays empty under [`DeliveryMode::FullBroadcast`], where
     /// every node gets exactly one edge by construction).
     scheduled: ScheduledSet,
+    /// Tx id of the next frame on the same channel ([`NO_TX`] for the
+    /// newest): the link of [`OnAir`]'s per-channel chain.
+    next_on_channel: u64,
 }
 
 impl ActiveTx {
@@ -282,13 +285,139 @@ impl ActiveTx {
     }
 }
 
+/// Number of RF channels: the length of [`OnAir`]'s chain array.
+const CHANNELS: usize = 40;
+const _: () = assert!(CHANNELS as u64 == Channel::COUNT as u64);
+
+/// No frame: the open end of a per-channel chain.
+const NO_TX: u64 = u64::MAX;
+
+/// One channel's frames in [`OnAir`]: the oldest and newest tx ids, linked
+/// oldest to newest through [`ActiveTx::next_on_channel`]. Both ends are
+/// [`NO_TX`] while the channel holds no frame.
+#[derive(Debug, Clone, Copy)]
+struct Chain {
+    first: u64,
+    last: u64,
+}
+
+const EMPTY_CHAIN: Chain = Chain {
+    first: NO_TX,
+    last: NO_TX,
+};
+
+/// The frames on the air, plus those off it that `gc` has not dropped yet,
+/// in tx-id order. Every `transmit` takes the next tx id, so ids are dense
+/// and frame `id` sits at `ring[id - base]`. Each channel's frames form an
+/// ascending chain of ids through the ring, so a scan for one channel
+/// visits only that channel's frames, in the ascending tx-id
+/// (= transmission start) order that every fading-draw sequence depends
+/// on. The chains live inline, so the table allocates nothing until the
+/// first frame.
+struct OnAir {
+    /// Tx id of `ring[0]`; the next id to be taken while `ring` is empty.
+    base: u64,
+    ring: VecDeque<ActiveTx>,
+    /// `chains[c]`: the frames in `ring` on channel `c`.
+    chains: [Chain; CHANNELS],
+}
+
+impl OnAir {
+    fn new() -> Self {
+        OnAir {
+            base: 0,
+            ring: VecDeque::new(),
+            chains: [EMPTY_CHAIN; CHANNELS],
+        }
+    }
+
+    /// The tx id the next [`OnAir::push`] assigns.
+    fn next_id(&self) -> u64 {
+        self.base + self.ring.len() as u64
+    }
+
+    /// Position of frame `id` in a ring whose front is frame `base`.
+    fn slot(base: u64, id: u64) -> Option<usize> {
+        usize::try_from(id.checked_sub(base)?).ok()
+    }
+
+    /// Stores a frame under [`OnAir::next_id`], at the end of its
+    /// channel's chain, and returns that id.
+    fn push(&mut self, mut tx: ActiveTx) -> u64 {
+        let id = self.next_id();
+        tx.next_on_channel = NO_TX;
+        if let Some(chain) = self.chains.get_mut(usize::from(tx.channel.index())) {
+            match Self::slot(self.base, chain.last).and_then(|i| self.ring.get_mut(i)) {
+                Some(prev) => prev.next_on_channel = id,
+                None => chain.first = id,
+            }
+            chain.last = id;
+        }
+        self.ring.push_back(tx);
+        id
+    }
+
+    fn get(&self, id: u64) -> Option<&ActiveTx> {
+        self.ring.get(Self::slot(self.base, id)?)
+    }
+
+    /// The frames on `channel`, in ascending tx-id order.
+    fn on_channel(&self, channel: Channel) -> impl Iterator<Item = (u64, &ActiveTx)> {
+        let chain = self.chains.get(usize::from(channel.index()));
+        let mut next = chain.map_or(NO_TX, |c| c.first);
+        std::iter::from_fn(move || {
+            let id = next;
+            let tx = self.get(id)?;
+            next = tx.next_on_channel;
+            Some((id, tx))
+        })
+    }
+
+    /// Calls `f` on each frame on `channel`, in ascending tx-id order.
+    fn for_each_on_channel_mut(&mut self, channel: Channel, mut f: impl FnMut(u64, &mut ActiveTx)) {
+        let mut id = self
+            .chains
+            .get(usize::from(channel.index()))
+            .map_or(NO_TX, |c| c.first);
+        while let Some(tx) = Self::slot(self.base, id).and_then(|i| self.ring.get_mut(i)) {
+            let next = tx.next_on_channel;
+            f(id, tx);
+            id = next;
+        }
+    }
+
+    /// Drops frames from the front while the front has been off the air
+    /// for longer than [`TX_RETENTION`] at `now`. A finished frame behind a
+    /// longer-lived front stays until the front goes: every reader filters
+    /// by time, so such a frame can neither interfere, late-lock nor get a
+    /// late edge, and dropping it later changes nothing.
+    fn gc(&mut self, now: Instant) {
+        while let Some(front) = self.ring.front() {
+            if front.end + TX_RETENTION >= now {
+                return;
+            }
+            // The oldest frame heads its channel's chain.
+            if let Some(chain) = self.chains.get_mut(usize::from(front.channel.index())) {
+                debug_assert_eq!(chain.first, self.base, "channel chain out of step");
+                if front.next_on_channel == NO_TX {
+                    *chain = EMPTY_CHAIN;
+                } else {
+                    chain.first = front.next_on_channel;
+                }
+            }
+            self.ring.pop_front();
+            self.base += 1;
+        }
+    }
+}
+
 /// Internal simulation state shared between the driver and [`NodeCtx`].
 pub(crate) struct SimInner {
     queue: EventQueue<SimEvent>,
     env: Environment,
     nodes: Vec<NodeState>,
-    txs: BTreeMap<u64, ActiveTx>,
-    next_tx_id: u64,
+    /// In-flight frames, indexed by tx id and by channel.
+    on_air: OnAir,
     rng: SimRng,
     trace: Trace,
     telemetry: Telemetry,
@@ -303,9 +432,6 @@ pub(crate) struct SimInner {
     /// reception); `finish_tx` and `handle_rx_end` never enter or leave
     /// `Rx`, so they leave the index alone.
     listeners: Vec<Vec<NodeId>>,
-    /// Earliest `end + TX_RETENTION` over `txs` ([`Instant::MAX`] when
-    /// empty): `gc` has nothing to remove before then.
-    gc_due: Instant,
     /// Per-packet delivery ledger ([`World::enable_delivery_tracker`]);
     /// `None` costs one branch per hook.
     delivery: Option<DeliveryTracker>,
@@ -522,8 +648,7 @@ impl SimInner {
         );
         self.node_state_mut(node).tx_span = tx_span;
 
-        let tx_id = self.next_tx_id;
-        self.next_tx_id += 1;
+        let tx_id = self.on_air.next_id();
         let aa = frame.access_address;
         let pdu_len = u32::try_from(frame.pdu.len()).unwrap_or(u32::MAX);
         self.emit(now, Some(node), || TelemetryEvent::TxStart {
@@ -549,8 +674,8 @@ impl SimInner {
             edges,
             edge_count: self.nodes.len(),
             scheduled: ScheduledSet::new(NodeId(0)),
+            next_on_channel: NO_TX,
         };
-        self.gc_due = self.gc_due.min(end + TX_RETENTION);
         let mode = self.delivery_mode;
         // Split-field borrow: arrival times and the cull read
         // `env`/`nodes`, scheduling writes `queue` — disjoint, so no
@@ -639,7 +764,8 @@ impl SimInner {
                 suppressed,
             );
         }
-        self.txs.insert(tx_id, tx);
+        let pushed = self.on_air.push(tx);
+        debug_assert_eq!(pushed, tx_id, "tx ids are dense");
         TxHandle {
             start: now,
             end,
@@ -697,8 +823,8 @@ impl SimInner {
         let grace = phy.preamble_duration() / 4;
         let rx_pos = self.node_state(node).config.position;
         let mut best: Option<(u64, Instant, NodeId)> = None;
-        for (&tx_id, tx) in &self.txs {
-            if tx.from == node || tx.channel != channel || tx.phy != phy {
+        for (tx_id, tx) in self.on_air.on_channel(channel) {
+            if tx.from == node || tx.phy != phy {
                 continue;
             }
             let from_pos = self.node_state(tx.from).config.position;
@@ -739,7 +865,7 @@ impl SimInner {
             return;
         }
         let SimInner {
-            txs,
+            on_air,
             env,
             nodes,
             queue,
@@ -749,24 +875,28 @@ impl SimInner {
         let Some(rx) = nodes.get(node.0) else {
             return;
         };
-        for (&tx_id, tx) in txs.iter_mut() {
+        // Only frames on the channel the radio listens on can be live.
+        let RadioState::Rx { channel, .. } = rx.radio else {
+            return;
+        };
+        on_air.for_each_on_channel_mut(channel, |tx_id, tx| {
             if tx.from == node
                 || !rx.edge_live(tx.channel, tx.frame.access_address, tx.phy)
                 || tx.scheduled.iter().any(|&n| n == node)
             {
-                continue;
+                return;
             }
             let Some(sender) = nodes.get(tx.from.0) else {
-                continue;
+                return;
             };
             let arrival =
                 tx.start + env.propagation_delay(sender.config.position, rx.config.position);
             let Some(id) = tx.edge_id(node).filter(|&id| queue.is_ahead(arrival, id)) else {
-                continue;
+                return;
             };
             let mean_dbm = link_mean_dbm(env, sender, rx);
             if !env.reachable_mean_dbm(mean_dbm) {
-                continue;
+                return;
             }
             queue.schedule_reserved(
                 arrival,
@@ -778,10 +908,10 @@ impl SimInner {
                 },
             );
             tx.scheduled.push(node);
-            if let Some(tracker) = delivery {
+            if let Some(tracker) = delivery.as_mut() {
                 tracker.on_late_scheduled(tx_id);
             }
-        }
+        });
     }
 
     /// Attempts to lock `node`'s receiver onto transmission `tx_id` whose
@@ -789,7 +919,7 @@ impl SimInner {
     /// drawn per-frame realisation). Returns whether the lock happened.
     fn try_lock(&mut self, node: NodeId, tx_id: u64, arrival: Instant, signal_dbm: f64) -> bool {
         let (tx_start, tx_end) = {
-            let Some(tx) = self.txs.get(&tx_id) else {
+            let Some(tx) = self.on_air.get(tx_id) else {
                 invariant!(false, "tx-id", "try_lock on unknown transmission #{tx_id}");
                 return false;
             };
@@ -859,18 +989,18 @@ impl SimInner {
         window_end: Instant,
     ) -> InterferenceBuf {
         let mut out = InterferenceBuf::empty();
-        let channel = match &self.txs.get(&locked_tx) {
+        let channel = match self.on_air.get(locked_tx) {
             Some(tx) => tx.channel,
             None => return out,
         };
-        // Split-field borrow: candidate geometry reads `txs`/`nodes`/`env`,
+        // Split-field borrow: candidate geometry reads `on_air`/`nodes`/`env`,
         // the fading draw needs `rng` — disjoint fields, single pass, no
         // intermediate collection. Fading is drawn per overlapping candidate
-        // in `txs` iteration order, which the `BTreeMap` pins to ascending
-        // tx-id (= transmission start order): the RNG draw sequence is a
-        // pure function of the simulation history, never of hash seeding.
+        // in the channel index's ascending tx-id (= transmission start)
+        // order: the RNG draw sequence is a pure function of the simulation
+        // history.
         let SimInner {
-            txs,
+            on_air,
             env,
             nodes,
             rng,
@@ -885,8 +1015,8 @@ impl SimInner {
         let Some(rx) = nodes.get(node.0) else {
             return out;
         };
-        for (&id, tx) in txs.iter() {
-            if id == locked_tx || tx.from == node || tx.channel != channel {
+        for (id, tx) in on_air.on_channel(channel) {
+            if id == locked_tx || tx.from == node {
                 continue;
             }
             let Some(tx_state) = nodes.get(tx.from.0) else {
@@ -923,7 +1053,7 @@ impl SimInner {
     fn handle_rx_start(&mut self, node: NodeId, tx_id: u64, mean_dbm: f64) -> Option<RadioEvent> {
         let now = self.now();
         let (tx_channel, tx_aa, tx_phy, tx_len) = {
-            let tx = self.txs.get(&tx_id)?;
+            let tx = self.on_air.get(tx_id)?;
             (
                 tx.channel,
                 tx.frame.access_address,
@@ -1025,7 +1155,7 @@ impl SimInner {
             _ => return None,
         };
         let (tx_crc_init, aa, mut pdu) = {
-            let tx = self.txs.get(&tx_id)?;
+            let tx = self.on_air.get(tx_id)?;
             // An inline-buffer clone: a stack memcpy, not a heap allocation.
             (
                 tx.frame.crc_init,
@@ -1187,24 +1317,10 @@ impl SimInner {
         self.queue.cancel(handle.0);
     }
 
-    /// Drops transmissions retained past `TX_RETENTION`. Gated on the
-    /// earliest expiry, so most events skip the pass; every reader of
-    /// `txs` filters by time, so dropping an entry late changes nothing.
+    /// Drops transmissions retained past `TX_RETENTION` ([`OnAir::gc`]).
     fn gc(&mut self) {
         let now = self.now();
-        if now <= self.gc_due {
-            return;
-        }
-        let mut due = Instant::MAX;
-        self.txs.retain(|_, tx| {
-            let expiry = tx.end + TX_RETENTION;
-            let keep = expiry >= now;
-            if keep {
-                due = due.min(expiry);
-            }
-            keep
-        });
-        self.gc_due = due;
+        self.on_air.gc(now);
     }
 }
 
@@ -1234,15 +1350,13 @@ impl World {
                 queue: EventQueue::new(),
                 env,
                 nodes: Vec::new(),
-                txs: BTreeMap::new(),
-                next_tx_id: 0,
+                on_air: OnAir::new(),
                 rng,
                 trace: Trace::disabled(),
                 telemetry: Telemetry::default(),
                 faults: FaultState::disabled(),
                 delivery_mode: DeliveryMode::default(),
                 listeners: vec![Vec::new(); usize::from(Channel::COUNT)],
-                gc_due: Instant::MAX,
                 delivery: None,
             },
             nodes: Vec::new(),
@@ -1507,7 +1621,7 @@ impl World {
                     _ => None,
                 };
                 if let Some((channel, arrival)) = pending {
-                    let aa = match self.inner.txs.get(&tx_id) {
+                    let aa = match self.inner.on_air.get(tx_id) {
                         Some(tx) => tx.frame.access_address,
                         None => return true,
                     };
@@ -1577,5 +1691,224 @@ impl std::fmt::Debug for World {
             .field("nodes", &self.inner.nodes.len())
             .field("pending_events", &self.inner.queue.len())
             .finish()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)] // test code may panic freely
+
+    use super::*;
+    use crate::radio::RadioListener;
+
+    const AA: AccessAddress = AccessAddress::new(0x50C2_33A1);
+    const CRC_INIT: u32 = 0x00AB_CDEF;
+
+    /// A node that ignores every event; tests drive it through `with_ctx`.
+    struct Inert;
+
+    impl RadioListener for Inert {
+        fn on_event(&mut self, _ctx: &mut NodeCtx<'_>, _event: RadioEvent) {}
+    }
+
+    fn lock_of(world: &World, node: NodeId) -> Option<&RxLock> {
+        match &world.inner.node_state(node).radio {
+            RadioState::Rx { lock, .. } => lock.as_ref(),
+            RadioState::Idle | RadioState::Tx { .. } => None,
+        }
+    }
+
+    /// Asserts the per-channel chains hold exactly the ring's frames: each
+    /// id once, on its own channel, ascending, ending at the chain's `last`.
+    fn assert_index_matches_ring(on_air: &OnAir) {
+        let mut listed = 0;
+        for (c, chain) in on_air.chains.iter().enumerate() {
+            let channel = Channel::new(u8::try_from(c).unwrap()).unwrap();
+            let ids: Vec<u64> = on_air
+                .on_channel(channel)
+                .map(|(id, tx)| {
+                    assert_eq!(tx.channel, channel, "#{id} chained on a wrong channel");
+                    id
+                })
+                .collect();
+            assert!(
+                ids.iter().zip(ids.iter().skip(1)).all(|(a, b)| a < b),
+                "channel {c}: ids not ascending: {ids:?}"
+            );
+            assert_eq!(ids.first().copied().unwrap_or(NO_TX), chain.first);
+            assert_eq!(ids.last().copied().unwrap_or(NO_TX), chain.last);
+            listed += ids.len();
+        }
+        assert_eq!(
+            listed,
+            on_air.ring.len(),
+            "every ring frame is chained once"
+        );
+    }
+
+    #[test]
+    fn finished_frame_behind_a_long_front_is_inert() {
+        let mut world = World::new(Environment::indoor_default(), SimRng::seed_from(7));
+        world.enable_delivery_tracker(16);
+        let coded = world.add_node(
+            NodeConfig::new("coded", Position::new(0.0, 0.0)).with_phy(PhyMode::LeCodedS8),
+            Inert,
+        );
+        let short = world.add_node(NodeConfig::new("short", Position::new(1.0, 0.0)), Inert);
+        let rx = world.add_node(NodeConfig::new("rx", Position::new(2.0, 0.0)), Inert);
+        let fresh_tx = world.add_node(NodeConfig::new("fresh", Position::new(3.0, 0.0)), Inert);
+        let (busy, quiet) = (Channel::data_wrapped(3), Channel::data_wrapped(9));
+
+        // A long LE Coded frame goes first, so it is the ring's front; a
+        // short 1M frame on another channel follows it onto the air.
+        let long = world.with_ctx(coded, |ctx| {
+            ctx.transmit(busy, RawFrame::new(AA, vec![0xC0; 200], CRC_INIT))
+        });
+        let stale = world.with_ctx(short, |ctx| {
+            ctx.transmit(quiet, RawFrame::new(AA, vec![0x5A; 4], CRC_INIT))
+        });
+        let open_at = stale.end + TX_RETENTION + Duration::from_micros(100);
+        assert!(long.end > open_at, "the coded frame is still on the air");
+        world.run_until(open_at);
+        world.inner.gc();
+        assert_eq!(
+            world.inner.on_air.base, long.id,
+            "the coded frame is the front"
+        );
+        assert!(
+            world.inner.on_air.get(stale.id).is_some(),
+            "the short frame, off the air for over TX_RETENTION, is stored behind the front"
+        );
+
+        // A receiver that accepts the short frame opens on its channel: no
+        // late lock and no late edge.
+        world.with_ctx(rx, |ctx| {
+            ctx.start_rx(quiet, AccessFilter::One(AA), CRC_INIT)
+        });
+        assert!(
+            lock_of(&world, rx).is_none(),
+            "no late lock on a finished frame"
+        );
+        let stale_tx = world.inner.on_air.get(stale.id).expect("still stored");
+        assert!(
+            !stale_tx.scheduled.iter().any(|&n| n == rx),
+            "no late edge for a finished frame"
+        );
+
+        // A fresh frame on the same channel locks the receiver, and the
+        // finished frame does not count as interference.
+        let fresh = world.with_ctx(fresh_tx, |ctx| {
+            ctx.transmit(quiet, RawFrame::new(AA, vec![0x11; 4], CRC_INIT))
+        });
+        world.run_until(open_at + Duration::from_micros(1));
+        let lock = lock_of(&world, rx).expect("locked on the fresh frame");
+        assert_eq!(lock.tx_id, fresh.id);
+        assert_eq!(lock.interference.count(), 0, "a finished frame interferes");
+        let totals = world.delivery_tracker().expect("enabled").totals();
+        assert_eq!(totals.late_scheduled, 0);
+        assert_eq!(totals.frames_heard, 1);
+    }
+
+    /// Transmits, retunes or idles at random from its own RNG. One node in
+    /// eight sends LE Coded S8, so long frames keep finished short ones
+    /// stored behind them.
+    struct Chatter {
+        channels: u8,
+    }
+
+    /// Largest PDU a [`Chatter`] sends.
+    const CHATTER_MAX_PDU: u64 = 40;
+
+    impl RadioListener for Chatter {
+        fn on_start(&mut self, ctx: &mut NodeCtx<'_>) {
+            let delay = 1 + ctx.rng().below(20_000);
+            ctx.set_timer_local(Duration::from_micros(delay), TimerKey(0));
+        }
+
+        fn on_event(&mut self, ctx: &mut NodeCtx<'_>, event: RadioEvent) {
+            if !matches!(event, RadioEvent::Timer { .. }) {
+                return;
+            }
+            let pick = ctx.rng().below(u64::from(self.channels));
+            let channel = Channel::data_wrapped(u8::try_from(pick).unwrap());
+            if !ctx.is_transmitting() {
+                if ctx.rng().chance(0.5) {
+                    let len = 1 + ctx.rng().below(CHATTER_MAX_PDU);
+                    let pdu = vec![0xA5; usize::try_from(len).unwrap()];
+                    ctx.transmit(channel, RawFrame::new(AA, pdu, CRC_INIT));
+                } else {
+                    ctx.start_rx(channel, AccessFilter::One(AA), CRC_INIT);
+                }
+            }
+            let delay = 500 + ctx.rng().below(60_000);
+            ctx.set_timer_local(Duration::from_micros(delay), TimerKey(0));
+        }
+    }
+
+    #[test]
+    fn ring_stays_within_one_longest_airtime_over_a_long_horizon() {
+        let mut world = World::new(Environment::dense_hall(), SimRng::seed_from(41));
+        let mut ids = Vec::new();
+        for i in 0..128u32 {
+            let position = Position::new(f64::from(i % 16) * 2.0, f64::from(i / 16) * 2.0);
+            let mut config = NodeConfig::new(format!("n{i}"), position);
+            if i % 8 == 0 {
+                config = config.with_phy(PhyMode::LeCodedS8);
+            }
+            ids.push(world.add_node(config, Chatter { channels: 8 }));
+        }
+        for &id in &ids {
+            world.start(id);
+        }
+        let longest = PhyMode::LeCodedS8.airtime_for_pdu(usize::try_from(CHATTER_MAX_PDU).unwrap());
+        let window = longest + TX_RETENTION;
+        let horizon = Instant::ZERO + Duration::from_secs(10);
+        // Start times of the frames that began within `window` of the last
+        // GC, in tx-id order, counted independently of the ring.
+        let mut recent: VecDeque<Instant> = VecDeque::new();
+        let mut started = 0u64;
+        let (mut steps, mut most, mut stored_behind) = (0u64, 0usize, 0u64);
+        while world.now() < horizon {
+            // `step` runs the GC at the current time, then pops an event.
+            let gc_at = world.now();
+            if !world.step() {
+                break;
+            }
+            steps += 1;
+            let on_air = &world.inner.on_air;
+            while started < on_air.next_id() {
+                recent.push_back(world.now());
+                started += 1;
+            }
+            let floor = gc_at.saturating_sub(window);
+            while recent.front().is_some_and(|&s| s < floor) {
+                recent.pop_front();
+            }
+            assert!(
+                on_air.ring.len() <= recent.len(),
+                "at {:?}: {} frames stored, {} started within {window:?}",
+                world.now(),
+                on_air.ring.len(),
+                recent.len()
+            );
+            most = most.max(on_air.ring.len());
+            if on_air.ring.iter().any(|tx| tx.end + TX_RETENTION < gc_at) {
+                stored_behind += 1;
+            }
+            assert_index_matches_ring(on_air);
+        }
+        assert!(world.now() >= horizon, "the world ran the whole horizon");
+        assert!(
+            started > 10_000,
+            "a dense world: {started} frames in {steps} steps"
+        );
+        assert!(
+            most > 4,
+            "frames overlapped on the air (at most {most} stored)"
+        );
+        assert!(
+            stored_behind > 0,
+            "finished frames waited behind a longer-lived front"
+        );
     }
 }

@@ -5,16 +5,17 @@
 //! scheduled, how many were culled as unreachable, how many were elided as
 //! unable to react, how many actually locked on, and how many completed
 //! reception. The [`DeliveryTracker`] keeps this per-packet ledger the way
-//! mcsim-style network simulators do — a bounded map of in-flight packets
+//! mcsim-style network simulators do — a bounded ring of recent packets
 //! with old entries evicted in arrival order — plus monotone run totals
 //! that survive eviction.
 //!
 //! The tracker is pure observation: the medium updates it outside every RNG
 //! draw and event-schedule decision, so enabling it can never perturb a
-//! simulation. All state is `BTreeMap`-backed (determinism rule R7) and its
-//! snapshots are pure functions of the simulation history.
+//! simulation. The ledger is a ring of entries in ascending transmission
+//! id (the medium hands ids out in start order), looked up by binary
+//! search, so its snapshots are pure functions of the simulation history.
 
-use std::collections::BTreeMap;
+use std::collections::VecDeque;
 
 /// Per-packet delivery ledger entry: one transmitted frame's fan-out.
 ///
@@ -75,7 +76,8 @@ pub struct DeliveryTotals {
 #[derive(Debug, Clone)]
 pub struct DeliveryTracker {
     capacity: usize,
-    packets: BTreeMap<u64, PacketDelivery>,
+    /// Ledger entries in ascending transmission id, oldest first.
+    packets: VecDeque<(u64, PacketDelivery)>,
     totals: DeliveryTotals,
 }
 
@@ -85,14 +87,15 @@ impl DeliveryTracker {
     pub fn new(capacity: usize) -> Self {
         DeliveryTracker {
             capacity: capacity.max(1),
-            packets: BTreeMap::new(),
+            packets: VecDeque::new(),
             totals: DeliveryTotals::default(),
         }
     }
 
     /// Records a transmitted frame and its scheduling fan-out, evicting the
     /// oldest ledger entries past the capacity bound. The four counts
-    /// partition the frame's peers.
+    /// partition the frame's peers. Ids must ascend from call to call, as
+    /// the medium's transmission ids do; debug builds assert it.
     pub fn on_tx(
         &mut self,
         tx_id: u64,
@@ -107,7 +110,12 @@ impl DeliveryTracker {
         self.totals.culled_unreachable += u64::from(culled);
         self.totals.elided += u64::from(elided);
         self.totals.suppressed_not_listening += u64::from(suppressed);
-        self.packets.insert(
+        debug_assert!(
+            self.packets.back().is_none_or(|&(last, _)| last < tx_id),
+            "delivery ledger ids must ascend: #{tx_id} after #{:?}",
+            self.packets.back().map(|&(last, _)| last)
+        );
+        self.packets.push_back((
             tx_id,
             PacketDelivery {
                 channel,
@@ -118,11 +126,23 @@ impl DeliveryTracker {
                 heard: 0,
                 delivered: 0,
             },
-        );
+        ));
         while self.packets.len() > self.capacity {
-            self.packets.pop_first();
+            self.packets.pop_front();
             self.totals.evicted_packets += 1;
         }
+    }
+
+    /// Where `tx_id`'s entry sits in the ledger, if retained.
+    fn position(&self, tx_id: u64) -> Option<usize> {
+        self.packets
+            .binary_search_by_key(&tx_id, |&(id, _)| id)
+            .ok()
+    }
+
+    fn entry_mut(&mut self, tx_id: u64) -> Option<&mut PacketDelivery> {
+        let i = self.position(tx_id)?;
+        self.packets.get_mut(i).map(|(_, p)| p)
     }
 
     /// Records one late-scheduled `RxStart` for an in-flight frame: a
@@ -133,7 +153,7 @@ impl DeliveryTracker {
     /// `TxStart`), otherwise `suppressed`. An evicted frame decides by the
     /// totals instead.
     pub fn on_late_scheduled(&mut self, tx_id: u64) {
-        let from_elided = match self.packets.get_mut(&tx_id) {
+        let from_elided = match self.entry_mut(tx_id) {
             Some(p) => {
                 p.scheduled = p.scheduled.saturating_add(1);
                 let from_elided = p.elided > 0;
@@ -159,7 +179,7 @@ impl DeliveryTracker {
     /// Records a receiver locking onto the frame's preamble.
     pub fn on_heard(&mut self, tx_id: u64) {
         self.totals.frames_heard += 1;
-        if let Some(p) = self.packets.get_mut(&tx_id) {
+        if let Some(p) = self.entry_mut(tx_id) {
             p.heard = p.heard.saturating_add(1);
         }
     }
@@ -167,7 +187,7 @@ impl DeliveryTracker {
     /// Records a completed reception delivered to a listener.
     pub fn on_delivered(&mut self, tx_id: u64) {
         self.totals.frames_delivered += 1;
-        if let Some(p) = self.packets.get_mut(&tx_id) {
+        if let Some(p) = self.entry_mut(tx_id) {
             p.delivered = p.delivered.saturating_add(1);
         }
     }
@@ -179,12 +199,13 @@ impl DeliveryTracker {
 
     /// The retained ledger entry for a frame, if not yet evicted.
     pub fn packet(&self, tx_id: u64) -> Option<PacketDelivery> {
-        self.packets.get(&tx_id).copied()
+        let i = self.position(tx_id)?;
+        self.packets.get(i).map(|&(_, p)| p)
     }
 
     /// Retained ledger entries, oldest first.
     pub fn packets(&self) -> impl Iterator<Item = (u64, PacketDelivery)> + '_ {
-        self.packets.iter().map(|(&id, &p)| (id, p))
+        self.packets.iter().copied()
     }
 
     /// Number of retained ledger entries.
@@ -262,6 +283,68 @@ mod tests {
         // Updates for evicted packets still land in the totals.
         t.on_heard(0);
         assert_eq!(t.totals().frames_heard, 1);
+    }
+
+    #[test]
+    fn eviction_is_oldest_first_at_capacity() {
+        let mut t = DeliveryTracker::new(3);
+        for id in [3u64, 10, 11, 40] {
+            t.on_tx(id, 0, 1, 0, 0, 0);
+        }
+        assert_eq!(t.len(), 3);
+        assert_eq!(t.totals().evicted_packets, 1);
+        assert!(t.packet(3).is_none(), "oldest evicted first");
+        for id in [10u64, 11, 40] {
+            assert!(t.packet(id).is_some(), "#{id} retained");
+        }
+        t.on_tx(41, 0, 1, 0, 0, 0);
+        assert!(t.packet(10).is_none(), "next-oldest evicted next");
+        assert_eq!(t.len(), 3);
+    }
+
+    #[test]
+    fn unknown_and_evicted_ids_have_no_entry() {
+        let mut t = DeliveryTracker::new(2);
+        assert!(t.packet(0).is_none(), "empty ledger");
+        for id in [2u64, 5, 9] {
+            t.on_tx(id, 0, 1, 0, 0, 0);
+        }
+        assert!(t.packet(2).is_none(), "evicted");
+        assert!(t.packet(0).is_none(), "before the oldest, never seen");
+        assert!(t.packet(7).is_none(), "in a gap, never seen");
+        assert!(t.packet(12).is_none(), "past the newest, never seen");
+        // Updates for ids without an entry touch only the totals.
+        t.on_heard(7);
+        t.on_delivered(12);
+        assert_eq!(t.totals().frames_heard, 1);
+        assert_eq!(t.totals().frames_delivered, 1);
+        assert!(t.packets().all(|(_, p)| p.heard == 0 && p.delivered == 0));
+    }
+
+    #[test]
+    fn packets_yield_oldest_first() {
+        let mut t = DeliveryTracker::new(8);
+        for (channel, id) in [1u64, 4, 6, 20, 21].into_iter().enumerate() {
+            t.on_tx(id, u8::try_from(channel).unwrap_or(0), 1, 0, 0, 0);
+        }
+        t.on_delivered(6);
+        let got: Vec<(u64, u8, u32)> = t
+            .packets()
+            .map(|(id, p)| (id, p.channel, p.delivered))
+            .collect();
+        assert_eq!(
+            got,
+            vec![(1, 0, 0), (4, 1, 0), (6, 2, 1), (20, 3, 0), (21, 4, 0)]
+        );
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "ids must ascend")]
+    fn out_of_order_ids_are_a_bug_in_debug_builds() {
+        let mut t = DeliveryTracker::new(4);
+        t.on_tx(5, 0, 1, 0, 0, 0);
+        t.on_tx(4, 0, 1, 0, 0, 0);
     }
 
     #[test]

@@ -200,8 +200,15 @@ impl<E> EventQueue<E> {
 
     /// Cancels a previously scheduled event. Cancelling an event that has
     /// already fired (or was already cancelled) is a harmless no-op.
+    ///
+    /// Only an id still in the heap gets a tombstone, so every tombstone is
+    /// freed when its entry pops and [`EventQueue::len`] stays exact. The
+    /// membership check is a linear scan of the heap: cancellation is rare,
+    /// and it keeps `pop` free of any extra bookkeeping.
     pub fn cancel(&mut self, id: EventId) {
-        self.cancelled.insert(id);
+        if self.heap.iter().any(|entry| entry.id == id) {
+            self.cancelled.insert(id);
+        }
     }
 
     /// Removes and returns the earliest pending event, advancing `now` to its
@@ -252,7 +259,8 @@ impl<E> EventQueue<E> {
         self.now = t;
     }
 
-    /// Number of live pending events.
+    /// Number of live pending events. Every tombstone names an entry still
+    /// in the heap, so the difference cannot underflow.
     pub fn len(&self) -> usize {
         self.heap.len() - self.cancelled.len()
     }
@@ -326,8 +334,45 @@ mod tests {
         let a = q.schedule_after(Duration::ZERO, "a");
         assert!(q.pop().is_some());
         q.cancel(a);
+        assert!(q.is_empty());
         q.schedule_after(Duration::ZERO, "b");
+        assert_eq!(q.len(), 1);
+        assert!(
+            !q.is_empty(),
+            "a pending event is not hidden by a stale cancel"
+        );
         assert_eq!(q.pop().map(|(_, e)| e), Some("b"));
+    }
+
+    #[test]
+    fn double_cancel_counts_once() {
+        let mut q = EventQueue::new();
+        let a = q.schedule_after(Duration::from_micros(1), "a");
+        q.schedule_after(Duration::from_micros(2), "b");
+        q.cancel(a);
+        q.cancel(a);
+        assert_eq!(q.len(), 1);
+        assert_eq!(q.pop().map(|(_, e)| e), Some("b"));
+        // The tombstone was freed with its entry: a later cancel of the
+        // same id has nothing to name.
+        q.cancel(a);
+        assert_eq!(q.len(), 0);
+        assert!(q.pop().is_none());
+    }
+
+    #[test]
+    fn len_of_an_emptied_queue_is_zero() {
+        let mut q: EventQueue<()> = EventQueue::new();
+        let a = q.schedule_after(Duration::ZERO, ());
+        let b = q.schedule_after(Duration::ZERO, ());
+        q.cancel(a);
+        assert!(q.pop().is_some());
+        assert!(q.pop().is_none());
+        // Both ids are gone from the heap; neither cancel may tombstone.
+        q.cancel(a);
+        q.cancel(b);
+        assert_eq!(q.len(), 0);
+        assert!(q.is_empty());
     }
 
     #[test]
