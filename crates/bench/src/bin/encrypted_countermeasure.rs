@@ -21,19 +21,25 @@ struct Outcome {
     attempts: u32,
 }
 
-fn run_one(seed: u64) -> Outcome {
-    let mut rig = ExperimentRig::new(seed, &RigConfig::default());
-    rig.central_mut().pair_on_connect = true;
-    // Wait for pairing + encryption.
-    let mut encrypted = false;
+/// Runs the rig until both ends report an encrypted link; `false` when
+/// encryption has not come up within 20 s.
+fn wait_for_encryption(rig: &mut ExperimentRig) -> bool {
     for _ in 0..200 {
         rig.scenario.run_for(Duration::from_millis(100));
         if rig.central().host.is_encrypted() && rig.bulb().host.is_encrypted() {
-            encrypted = true;
-            break;
+            return true;
         }
     }
-    assert!(encrypted, "setup: encryption must come up (seed {seed})");
+    false
+}
+
+/// One trial; `None` when pairing never brought encryption up.
+fn run_one(seed: u64) -> Option<Outcome> {
+    let mut rig = ExperimentRig::new(seed, &RigConfig::default());
+    rig.central_mut().pair_on_connect = true;
+    if !wait_for_encryption(&mut rig) {
+        return None;
+    }
     rig.scenario.run_for(Duration::from_millis(500));
 
     let att = AttPdu::WriteRequest {
@@ -52,12 +58,12 @@ fn run_one(seed: u64) -> Outcome {
     }
     let feature_triggered = rig.bulb().app.on || !rig.bulb().app.command_log.is_empty();
     let attempts = rig.attacker().stats().attempts_total;
-    Outcome {
+    Some(Outcome {
         seed,
         feature_triggered,
         dos_disconnect: dos,
         attempts,
-    }
+    })
 }
 
 fn main() {
@@ -73,10 +79,15 @@ fn main() {
     println!("{}", "-".repeat(68));
     let mut triggered = 0;
     let mut dos = 0;
+    let mut setup_failures = 0;
     let mut rng = SimRng::seed_from(0xC0DE);
     for _ in 0..runs {
         let seed = 5_000 + rng.below(1_000_000);
-        let o = run_one(seed);
+        let Some(o) = run_one(seed) else {
+            println!("{seed:>6} | setup failed: encryption never came up");
+            setup_failures += 1;
+            continue;
+        };
         println!(
             "{:>6} | {:>18} | {:>22} | {:>9}",
             o.seed,
@@ -91,12 +102,30 @@ fn main() {
         triggered += u32::from(o.feature_triggered);
         dos += u32::from(o.dos_disconnect);
     }
+    let completed = runs - setup_failures;
     println!();
-    println!("features triggered: {triggered}/{runs} (paper: 0 — encryption blocks the payload)");
+    if setup_failures > 0 {
+        println!("setup failures: {setup_failures}/{runs}");
+    }
     println!(
-        "availability impact: {dos}/{runs} connections torn down by MIC failure (paper: DoS remains possible)"
+        "features triggered: {triggered}/{completed} (paper: 0 — encryption blocks the payload)"
+    );
+    println!(
+        "availability impact: {dos}/{completed} connections torn down by MIC failure (paper: DoS remains possible)"
     );
     if triggered > 0 {
         std::process::exit(1);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn wait_for_encryption_reports_a_link_that_never_pairs() {
+        let mut rig = ExperimentRig::new(5_000, &RigConfig::default());
+        rig.central_mut().pair_on_connect = false;
+        assert!(!wait_for_encryption(&mut rig));
     }
 }

@@ -284,7 +284,8 @@ fn collapse_stacks(records: &[TelemetryRecord]) -> String {
             | TelemetryEvent::FaultBurst { .. }
             | TelemetryEvent::FaultEpisode { .. }
             | TelemetryEvent::FaultFrame { .. }
-            | TelemetryEvent::Raw { .. } => {}
+            | TelemetryEvent::ResyncBackoff { .. }
+            | TelemetryEvent::ResyncExhausted { .. } => {}
         }
     }
     let mut out = String::new();

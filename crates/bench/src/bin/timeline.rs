@@ -147,7 +147,8 @@ fn event_channel(event: &TelemetryEvent) -> Option<u8> {
         | TelemetryEvent::ConnEstablished { .. }
         | TelemetryEvent::ConnReleased { .. }
         | TelemetryEvent::PoolHighWater { .. }
-        | TelemetryEvent::Raw { .. } => None,
+        | TelemetryEvent::ResyncBackoff { .. }
+        | TelemetryEvent::ResyncExhausted { .. } => None,
     }
 }
 
@@ -162,6 +163,8 @@ fn is_headline(event: &TelemetryEvent) -> bool {
         | TelemetryEvent::ConnectionClosed { .. }
         | TelemetryEvent::SnifferSync { .. }
         | TelemetryEvent::SnifferLost { .. }
+        | TelemetryEvent::ResyncBackoff { .. }
+        | TelemetryEvent::ResyncExhausted { .. }
         | TelemetryEvent::Takeover { .. }
         | TelemetryEvent::DetectorAlert { .. }
         | TelemetryEvent::Collision { .. }
@@ -188,8 +191,7 @@ fn is_headline(event: &TelemetryEvent) -> bool {
         | TelemetryEvent::SlotDenied
         | TelemetryEvent::ConnEstablished { .. }
         | TelemetryEvent::ConnReleased { .. }
-        | TelemetryEvent::PoolHighWater { .. }
-        | TelemetryEvent::Raw { .. } => false,
+        | TelemetryEvent::PoolHighWater { .. } => false,
     }
 }
 
@@ -380,7 +382,8 @@ fn render(records: &[TelemetryRecord], limit: usize, skipped: usize) {
             | TelemetryEvent::ConnEstablished { .. }
             | TelemetryEvent::ConnReleased { .. }
             | TelemetryEvent::PoolHighWater { .. }
-            | TelemetryEvent::Raw { .. } => {}
+            | TelemetryEvent::ResyncBackoff { .. }
+            | TelemetryEvent::ResyncExhausted { .. } => {}
         }
     }
     println!();

@@ -18,7 +18,7 @@ use ble_host::{GattServer, HostStack, Uuid};
 use ble_link::{AddressType, DeviceAddress, LinkLayerDelegate};
 use ble_phy::{
     AccessAddress, AccessFilter, Channel, Environment, NodeConfig, NodeCtx, Pdu, Position,
-    RadioEvent, RadioListener, RawFrame, Simulation, TimerKey,
+    RadioEvent, RadioListener, RawFrame, TimerKey, World,
 };
 use simkit::{Duration, FaultPlan, SimRng};
 
@@ -139,7 +139,7 @@ fn measure_steady_state_with(faults: Option<FaultPlan>, spans: bool) -> (u64, u6
     let mut pdu = Pdu::new();
     pdu.try_extend_from_slice(&[0xC3; 22]).expect("22 B fits");
 
-    let mut sim = Simulation::new(Environment::indoor_default(), SimRng::seed_from(5));
+    let mut sim = World::new(Environment::indoor_default(), SimRng::seed_from(5));
     if spans {
         // The clock must never be read on the disabled path; a counting
         // clock would not allocate anyway, but a constant keeps the test

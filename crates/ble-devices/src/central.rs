@@ -154,7 +154,7 @@ impl Central {
         }
     }
 
-    /// Starts scanning/initiating (call once from `Simulation::with_ctx`).
+    /// Starts scanning/initiating (call once from `World::with_ctx`).
     /// With extra peers added, slot 0 initiates first and the remaining
     /// slots queue behind it.
     pub fn start(&mut self, ctx: &mut NodeCtx<'_>) {

@@ -144,6 +144,11 @@ impl Reassembler {
         None
     }
 
+    /// Bytes held for the SDU in progress (header included).
+    pub fn buffered(&self) -> usize {
+        self.buffer.len()
+    }
+
     /// Drops any partial reassembly in progress.
     pub fn reset(&mut self) {
         self.buffer.clear();

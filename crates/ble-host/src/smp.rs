@@ -88,9 +88,10 @@ impl SmpPdu {
                     SmpPdu::PairingRandom { value }
                 })
             }
-            0x05 => Some(SmpPdu::PairingFailed {
-                reason: *data.first()?,
-            }),
+            0x05 => match data {
+                &[reason] => Some(SmpPdu::PairingFailed { reason }),
+                _ => None,
+            },
             _ => None,
         }
     }
@@ -404,6 +405,13 @@ mod tests {
         assert_eq!(SmpPdu::from_bytes(&[0x01, 1, 2]), None);
         assert_eq!(SmpPdu::from_bytes(&[0x03, 1]), None);
         assert_eq!(SmpPdu::from_bytes(&[0x09]), None);
+        // Pairing Failed carries exactly one reason byte.
+        assert_eq!(SmpPdu::from_bytes(&[0x05]), None);
+        assert_eq!(SmpPdu::from_bytes(&[0x05, 0x08, 0xFF]), None);
+        assert_eq!(
+            SmpPdu::from_bytes(&[0x05, 0x08]),
+            Some(SmpPdu::PairingFailed { reason: 0x08 })
+        );
     }
 
     #[test]

@@ -73,7 +73,7 @@ pub use channel::Channel;
 pub use crc::{crc24, crc24_bitwise, crc24_bytes, ADVERTISING_CRC_INIT, CRC_LEN};
 pub use frame::{RawFrame, ReceivedFrame, ACCESS_ADDRESS_LEN, PREAMBLE_LEN};
 pub use geometry::{Position, Wall};
-pub use medium::{DeliveryMode, Simulation, TxHandle, World};
+pub use medium::{DeliveryMode, TxHandle, World};
 pub use pdu::{Pdu, PduCapacityError, PDU_MAX_LEN};
 pub use phy_mode::PhyMode;
 pub use propagation::{Environment, CULL_HEADROOM_DB};

@@ -22,7 +22,7 @@ use ble_telemetry::{
     DeliveryTracker, FaultKind, SpanId, SpanKind, Telemetry, TelemetryEvent, TelemetryRecord,
     TelemetrySink,
 };
-use simkit::{Duration, EventId, EventQueue, FaultPlan, Instant, SimRng, Trace};
+use simkit::{Duration, EventId, EventQueue, FaultPlan, Instant, SimRng};
 
 use crate::access_address::AccessAddress;
 use crate::channel::Channel;
@@ -46,7 +46,7 @@ use crate::radio::{
 /// event ids the frame reserves, in both modes, so an edge queued late
 /// sorts exactly where the broadcast edge sat. The equivalence is pinned by
 /// the `sharding_equivalence` integration tests, which run the same seeded
-/// world under both modes and compare traces.
+/// world under both modes and compare their telemetry records.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum DeliveryMode {
     /// Schedule `RxStart` only at nodes currently listening on the
@@ -419,7 +419,6 @@ pub(crate) struct SimInner {
     /// In-flight frames, indexed by tx id and by channel.
     on_air: OnAir,
     rng: SimRng,
-    trace: Trace,
     telemetry: Telemetry,
     faults: FaultState,
     delivery_mode: DeliveryMode,
@@ -489,47 +488,21 @@ impl SimInner {
         &mut self.node_state_mut(node).rng
     }
 
-    /// Whether any observability consumer (legacy trace or telemetry sink)
-    /// is active. Emit sites bail out on `false` before building events.
-    #[inline]
-    pub(crate) fn telemetry_active(&self) -> bool {
-        self.trace.is_enabled() || self.telemetry.is_enabled()
-    }
-
-    /// Emits a typed event: mirrored into the legacy [`Trace`] (tag +
-    /// rendered detail) when tracing is on, and fanned out to telemetry
-    /// sinks. The closure only runs when a consumer is active, so disabled
-    /// telemetry costs two boolean loads and a branch.
+    /// Emits a typed event to the telemetry sinks. The closure only runs
+    /// when a sink is attached, so disabled telemetry costs one branch.
     pub(crate) fn emit(
         &mut self,
         at: Instant,
         node: Option<NodeId>,
         build: impl FnOnce() -> TelemetryEvent,
     ) {
-        let trace_on = self.trace.is_enabled();
-        let telemetry_on = self.telemetry.is_enabled();
-        if !trace_on && !telemetry_on {
-            return;
-        }
-        let event = build();
-        if trace_on {
-            let detail = match node {
-                Some(n) => format!("{} {}", self.node_label(n), event),
-                None => event.to_string(),
-            };
-            self.trace.record(at, event.tag(), detail);
-        }
-        if telemetry_on {
-            let node = node.and_then(|n| u32::try_from(n.0).ok());
-            self.telemetry
-                .emit_record(&TelemetryRecord { at, node, event });
-        }
+        let node = node.and_then(|n| u32::try_from(n.0).ok());
+        self.telemetry.emit_with(at, node, build);
     }
 
     /// Opens a hierarchical span attributed to `node` (or the simulation
     /// when `None`). Branch-and-return ([`SpanId::DISABLED`]) when no
-    /// telemetry sink is attached; spans are not mirrored into the legacy
-    /// [`Trace`].
+    /// telemetry sink is attached.
     #[inline]
     pub(crate) fn span_enter(
         &mut self,
@@ -546,30 +519,6 @@ impl SimInner {
     #[inline]
     pub(crate) fn span_exit(&mut self, at: Instant, id: SpanId) {
         self.telemetry.span_exit(at, id);
-    }
-
-    /// Legacy free-form trace entry point ([`NodeCtx::trace`]); forwarded to
-    /// telemetry sinks as a [`TelemetryEvent::Raw`] so JSONL captures keep
-    /// not-yet-migrated call sites.
-    pub(crate) fn trace_record(
-        &mut self,
-        at: Instant,
-        node: Option<NodeId>,
-        tag: &'static str,
-        detail: String,
-    ) {
-        if self.telemetry.is_enabled() {
-            let node = node.and_then(|n| u32::try_from(n.0).ok());
-            self.telemetry.emit_record(&TelemetryRecord {
-                at,
-                node,
-                event: TelemetryEvent::Raw {
-                    tag: tag.to_owned(),
-                    detail: detail.clone(),
-                },
-            });
-        }
-        self.trace.record(at, tag, detail);
     }
 
     /// Inserts `node` into the sorted listener list of `channel` (no-op if
@@ -1339,9 +1288,6 @@ pub struct World {
     nodes: Vec<Box<dyn Node>>,
 }
 
-/// Former name of [`World`], kept as an alias for downstream code.
-pub type Simulation = World;
-
 impl World {
     /// Creates a world with the given environment and random seed source.
     pub fn new(env: Environment, rng: SimRng) -> Self {
@@ -1352,7 +1298,6 @@ impl World {
                 nodes: Vec::new(),
                 on_air: OnAir::new(),
                 rng,
-                trace: Trace::disabled(),
                 telemetry: Telemetry::default(),
                 faults: FaultState::disabled(),
                 delivery_mode: DeliveryMode::default(),
@@ -1412,16 +1357,6 @@ impl World {
         self.inner.faults = state;
     }
 
-    /// Enables the simulation trace (for debugging and assertions).
-    pub fn enable_trace(&mut self) {
-        self.inner.trace = Trace::enabled();
-    }
-
-    /// The collected trace.
-    pub fn trace(&self) -> &Trace {
-        &self.inner.trace
-    }
-
     /// Attaches a telemetry sink. [`ble_telemetry::TelemetryEvent::NodeAdded`]
     /// records for nodes that joined *before* attachment are replayed into
     /// the sink first, so every sink can map node indices to labels.
@@ -1437,11 +1372,6 @@ impl World {
             });
         }
         self.inner.telemetry.add_sink(sink);
-    }
-
-    /// Whether any telemetry sink is attached.
-    pub fn telemetry_enabled(&self) -> bool {
-        self.inner.telemetry.is_enabled()
     }
 
     /// Installs the wall clock used for span wall-time attribution — a

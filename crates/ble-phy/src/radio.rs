@@ -11,7 +11,7 @@ use crate::geometry::Position;
 use crate::medium::{SimInner, TxHandle};
 use crate::phy_mode::PhyMode;
 
-/// Identifier of a node within a [`crate::Simulation`].
+/// Identifier of a node within a [`crate::World`].
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Debug)]
 pub struct NodeId(pub(crate) usize);
 
@@ -317,25 +317,8 @@ impl<'a> NodeCtx<'a> {
         self.sim.cancel_timer(handle);
     }
 
-    /// Appends a record to the simulation trace. Legacy free-form entry
-    /// point: the record is also forwarded to telemetry sinks as a
-    /// [`ble_telemetry::TelemetryEvent::Raw`]. Prefer [`NodeCtx::emit`] with
-    /// a typed event for new instrumentation.
-    pub fn trace(&mut self, tag: &'static str, detail: String) {
-        let now = self.now();
-        self.sim.trace_record(now, Some(self.node), tag, detail);
-    }
-
-    /// Whether any observability consumer (trace or telemetry sink) is
-    /// active. Lets callers skip *computing* inputs for an emit when nobody
-    /// is listening; the emit itself is already lazily built.
-    #[inline]
-    pub fn telemetry_active(&self) -> bool {
-        self.sim.telemetry_active()
-    }
-
     /// Emits a typed telemetry event attributed to this node, timestamped
-    /// *now*. The closure only runs when tracing or a sink is active.
+    /// *now*. The closure only runs when a sink is attached.
     #[inline]
     pub fn emit(&mut self, build: impl FnOnce() -> ble_telemetry::TelemetryEvent) {
         let now = self.now();

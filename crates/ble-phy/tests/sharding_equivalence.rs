@@ -12,7 +12,7 @@
 //!
 //! The oracle check runs randomized dense worlds — nodes that transmit,
 //! retune, and close their receivers at random times on random channels —
-//! under both modes at fixed seeds and compares the full telemetry trace
+//! under both modes at fixed seeds and compares every telemetry record
 //! plus every node's received-event log. Worlds use both the indoor
 //! environment (cull never fires) and the dense hall at stadium scale (cull
 //! active on far pairs), so equivalence is pinned on both sides of the
@@ -30,7 +30,7 @@ use ble_phy::{
     AccessAddress, AccessFilter, Channel, DeliveryMode, Environment, NodeConfig, NodeCtx, Position,
     RadioEvent, RadioListener, RawFrame, TimerKey, World,
 };
-use ble_telemetry::DeliveryTotals;
+use ble_telemetry::{DeliveryTotals, RingBufferSink, SharedRing};
 use simkit::{Duration, Instant, SimRng};
 
 const AA: AccessAddress = AccessAddress::new(0x50C2_33A1);
@@ -38,6 +38,24 @@ const AA: AccessAddress = AccessAddress::new(0x50C2_33A1);
 /// filtered to [`AA`], and vice versa.
 const AA_OTHER: AccessAddress = AccessAddress::new(0x71A4_B2C6);
 const CRC_INIT: u32 = 0xABCDEF;
+/// Ring capacity well above any world's record count, so nothing is evicted.
+const RING_CAPACITY: usize = 1 << 20;
+
+/// Attaches a ring sink that captures every telemetry record of `sim`.
+fn record_telemetry(sim: &mut World) -> SharedRing {
+    let sink = RingBufferSink::new(RING_CAPACITY);
+    let ring = sink.handle();
+    sim.add_telemetry_sink(Box::new(sink));
+    ring
+}
+
+/// Every captured record, rendered with `Debug` so each event field is
+/// compared.
+fn rendered(ring: &SharedRing) -> Vec<String> {
+    let ring = ring.lock();
+    assert_eq!(ring.evicted(), 0, "ring too small for the world");
+    ring.iter().map(|r| format!("{r:?}")).collect()
+}
 
 /// A node that transmits, retunes, closes its receiver, or idles at random
 /// (from its own forked RNG), recording every radio event it observes. The
@@ -107,7 +125,7 @@ impl Spec {
     }
 }
 
-/// Builds and runs one randomized world; returns the telemetry trace and
+/// Builds and runs one randomized world; returns its telemetry records and
 /// every node's event log, both rendered to strings.
 fn run_world(spec: &Spec, mode: DeliveryMode) -> Vec<String> {
     run_world_tracked(spec, mode).0
@@ -117,7 +135,7 @@ fn run_world(spec: &Spec, mode: DeliveryMode) -> Vec<String> {
 fn run_world_tracked(spec: &Spec, mode: DeliveryMode) -> (Vec<String>, DeliveryTotals) {
     let mut sim = World::new(spec.env.clone(), SimRng::seed_from(spec.seed));
     sim.set_delivery_mode(mode);
-    sim.enable_trace();
+    let ring = record_telemetry(&mut sim);
     sim.enable_delivery_tracker(1);
     // Positions come from a dedicated RNG so both modes build the same
     // geometry without touching the world's stream.
@@ -158,12 +176,7 @@ fn run_world_tracked(spec: &Spec, mode: DeliveryMode) -> (Vec<String>, DeliveryT
     }
     sim.run_for(spec.run);
     let totals = sim.delivery_tracker().expect("tracker enabled").totals();
-    let mut out: Vec<String> = sim
-        .trace()
-        .records()
-        .iter()
-        .map(|r| format!("{r:?}"))
-        .collect();
+    let mut out = rendered(&ring);
     for id in ids {
         let node = sim.node::<Chatterbox>(id).expect("chatterbox");
         out.push(format!("--- node {}", node.marker));
@@ -292,7 +305,7 @@ impl RadioListener for Scripted {
 }
 
 /// Runs a scripted world of `(label, position, tx power, node)` entries
-/// under `mode`; returns the rendered trace and every node's log, plus the
+/// under `mode`; returns the rendered records and every node's log, plus the
 /// delivery-ledger totals.
 fn run_scripted(
     seed: u64,
@@ -301,7 +314,7 @@ fn run_scripted(
 ) -> (Vec<String>, DeliveryTotals) {
     let mut sim = World::new(Environment::indoor_default(), SimRng::seed_from(seed));
     sim.set_delivery_mode(mode);
-    sim.enable_trace();
+    let ring = record_telemetry(&mut sim);
     sim.enable_delivery_tracker(16);
     let ids: Vec<_> = nodes
         .into_iter()
@@ -313,12 +326,7 @@ fn run_scripted(
         sim.start(id);
     }
     sim.run_for(Duration::from_millis(3));
-    let mut out: Vec<String> = sim
-        .trace()
-        .records()
-        .iter()
-        .map(|r| format!("{r:?}"))
-        .collect();
+    let mut out = rendered(&ring);
     for id in ids {
         out.push(format!("--- node {id:?}"));
         out.extend(
@@ -336,7 +344,7 @@ fn run_scripted(
 }
 
 /// Asserts both delivery modes agree on a scripted world and returns the
-/// sharded run's ledger totals and trace.
+/// sharded run's ledger totals and records.
 fn scripted_in_both_modes(
     seed: u64,
     world: impl Fn() -> Vec<(&'static str, Position, f64, Scripted)>,
@@ -392,15 +400,15 @@ fn foreign_frame_reaching_a_listener_that_locked_after_its_tx_start_interferes()
         ]
     };
     for seed in 0..20 {
-        let (trace, totals) = scripted_in_both_modes(seed, world);
+        let (records, totals) = scripted_in_both_modes(seed, world);
         assert_eq!(
             totals.late_scheduled, 1,
             "the elided edge is queued at lock"
         );
         assert!(
-            trace
+            records
                 .iter()
-                .any(|l| l.contains("rx-end") && l.contains("interferers=1")),
+                .any(|l| l.contains("RxEnd {") && l.contains("interferers: 1")),
             "the foreign frame must interfere with the locked one (seed {seed})"
         );
     }
@@ -503,12 +511,12 @@ fn receiver_opening_at_the_instant_a_frame_arrives_keeps_broadcast_order() {
         ]
     };
     for seed in 0..5 {
-        let (trace, totals) = scripted_in_both_modes(seed, world);
+        let (records, totals) = scripted_in_both_modes(seed, world);
         assert_eq!(totals.late_scheduled, 1, "the edge is queued at open");
         assert!(
-            trace
+            records
                 .iter()
-                .any(|l| l.contains("t=101.001µs") && l.contains("rx-lock")),
+                .any(|l| l.contains("t=101.001µs") && l.contains("RxLock {")),
             "the listener late-locks at the arrival instant (seed {seed})"
         );
     }
@@ -524,7 +532,7 @@ fn node_added_while_a_frame_is_in_flight_never_hears_it() {
     let run = |mode: DeliveryMode| {
         let mut sim = World::new(Environment::indoor_default(), SimRng::seed_from(5));
         sim.set_delivery_mode(mode);
-        sim.enable_trace();
+        let ring = record_telemetry(&mut sim);
         let far = sim.add_node(
             NodeConfig::new("far", Position::new(400.0, 0.0)).with_tx_power(20.0),
             Scripted {
@@ -544,13 +552,7 @@ fn node_added_while_a_frame_is_in_flight_never_hears_it() {
         sim.start(late);
         sim.run_for(Duration::from_millis(1));
         let log = sim.node::<Scripted>(late).expect("scripted").log.clone();
-        let trace: Vec<String> = sim
-            .trace()
-            .records()
-            .iter()
-            .map(|r| format!("{r:?}"))
-            .collect();
-        (log, trace)
+        (log, rendered(&ring))
     };
     let (broadcast_log, broadcast) = run(DeliveryMode::FullBroadcast);
     let (sharded_log, sharded) = run(DeliveryMode::Sharded);

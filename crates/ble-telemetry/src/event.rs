@@ -4,8 +4,8 @@
 //! attacker decisions, detector alerts — is one [`TelemetryEvent`] variant.
 //! The enum is deliberately flat and field-poor: events are emitted on hot
 //! paths, so variants carry `Copy`-able scalars wherever possible and only
-//! allocate for genuinely textual payloads ([`TelemetryEvent::Raw`] and
-//! [`TelemetryEvent::NodeAdded`]).
+//! allocate for the one genuinely textual payload
+//! ([`TelemetryEvent::NodeAdded`]).
 //!
 //! `TelemetryEvent` is covered by the xtask R4 exhaustive-match rule: code
 //! matching on it must not use a `_` wildcard arm, so adding a variant here
@@ -188,8 +188,8 @@ impl FaultKind {
 /// One typed telemetry event.
 ///
 /// Variants group by layer: simulation meta, PHY, Link Layer, attacker,
-/// detector. The legacy [`simkit::Trace`] tags are preserved by
-/// [`TelemetryEvent::tag`] so trace-based tooling keeps working.
+/// detector. [`TelemetryEvent::tag`] names each variant; it is the JSONL
+/// `kind` field.
 #[derive(Debug, Clone, PartialEq)]
 pub enum TelemetryEvent {
     // --- simulation meta ---------------------------------------------------
@@ -323,6 +323,19 @@ pub enum TelemetryEvent {
         /// Why it was lost.
         reason: LossReason,
     },
+    /// A resynchronisation scan campaign caught no `CONNECT_REQ`; the
+    /// sniffer goes quiet for `delay` before the next campaign.
+    ResyncBackoff {
+        /// The failed campaign's number (1-based since the last reset).
+        campaign: u32,
+        /// Backoff before the next campaign.
+        delay: Duration,
+    },
+    /// Every resynchronisation retry is spent: the sniffer stops scanning.
+    ResyncExhausted {
+        /// Scan campaigns run before giving up.
+        campaigns: u32,
+    },
     /// An injection attempt was fired.
     InjectionAttempt {
         /// Channel injected on.
@@ -454,21 +467,11 @@ pub enum TelemetryEvent {
         /// Wall-clock nanoseconds net of child spans.
         self_wall_ns: u64,
     },
-
-    // --- escape hatch ------------------------------------------------------
-    /// A legacy free-form trace record forwarded through the typed bus.
-    /// New instrumentation should add a variant instead of using this.
-    Raw {
-        /// Legacy trace tag.
-        tag: String,
-        /// Free-form detail text.
-        detail: String,
-    },
 }
 
 impl TelemetryEvent {
-    /// The legacy [`simkit::Trace`] tag for this event, used when mirroring
-    /// typed events into a `Trace` and as the JSONL `kind` field.
+    /// The short tag naming this event's variant, used as the JSONL `kind`
+    /// field.
     pub fn tag(&self) -> &'static str {
         match self {
             TelemetryEvent::NodeAdded { .. } => "node",
@@ -489,6 +492,8 @@ impl TelemetryEvent {
             TelemetryEvent::ConnectionClosed { .. } => "disconnect",
             TelemetryEvent::SnifferSync { .. } => "sniff-sync",
             TelemetryEvent::SnifferLost { .. } => "sniff-lost",
+            TelemetryEvent::ResyncBackoff { .. } => "resync-backoff",
+            TelemetryEvent::ResyncExhausted { .. } => "resync-exhausted",
             TelemetryEvent::InjectionAttempt { .. } => "inject",
             TelemetryEvent::HeuristicVerdict { .. } => "inject-outcome",
             TelemetryEvent::AnchorPrediction { .. } => "anchor-error",
@@ -505,13 +510,12 @@ impl TelemetryEvent {
             TelemetryEvent::FaultFrame { .. } => "fault-frame",
             TelemetryEvent::SpanEnter { .. } => "span-enter",
             TelemetryEvent::SpanExit { .. } => "span-exit",
-            TelemetryEvent::Raw { .. } => "raw",
         }
     }
 }
 
 impl fmt::Display for TelemetryEvent {
-    /// Human-readable detail text, also used as the `Trace` mirror detail.
+    /// Human-readable detail text.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             TelemetryEvent::NodeAdded { label } => write!(f, "node '{label}' added"),
@@ -574,6 +578,14 @@ impl fmt::Display for TelemetryEvent {
             }
             TelemetryEvent::SnifferLost { reason } => {
                 write!(f, "lost: {}", reason.as_str())
+            }
+            TelemetryEvent::ResyncBackoff { campaign, delay } => write!(
+                f,
+                "campaign {campaign} empty; backing off {:.0} ms",
+                delay.as_micros_f64() / 1_000.0
+            ),
+            TelemetryEvent::ResyncExhausted { campaigns } => {
+                write!(f, "gave up after {campaigns} scan campaigns")
             }
             TelemetryEvent::InjectionAttempt { channel, lead } => {
                 write!(f, "ch={channel} lead={lead}")
@@ -643,7 +655,6 @@ impl fmt::Display for TelemetryEvent {
                 "{} #{id} detail={detail} sim={sim_ns}ns (self {self_sim_ns}ns) wall={wall_ns}ns (self {self_wall_ns}ns)",
                 kind.as_str()
             ),
-            TelemetryEvent::Raw { tag, detail } => write!(f, "[{tag}] {detail}"),
         }
     }
 }

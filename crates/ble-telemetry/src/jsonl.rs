@@ -131,6 +131,16 @@ pub fn to_line(record: &TelemetryRecord) -> String {
         TelemetryEvent::SnifferLost { reason } => {
             let _ = write!(s, ",\"reason\":\"{}\"", reason.as_str());
         }
+        TelemetryEvent::ResyncBackoff { campaign, delay } => {
+            let _ = write!(
+                s,
+                ",\"campaign\":{campaign},\"delay_ns\":{}",
+                delay.as_nanos()
+            );
+        }
+        TelemetryEvent::ResyncExhausted { campaigns } => {
+            let _ = write!(s, ",\"campaigns\":{campaigns}");
+        }
         TelemetryEvent::InjectionAttempt { channel, lead } => {
             let _ = write!(s, ",\"ch\":{channel},\"lead_ns\":{}", lead.as_nanos());
         }
@@ -215,10 +225,6 @@ pub fn to_line(record: &TelemetryRecord) -> String {
                 ",\"span\":\"{}\",\"id\":{id},\"detail\":{detail},\"sim_ns\":{sim_ns},\"wall_ns\":{wall_ns},\"self_sim_ns\":{self_sim_ns},\"self_wall_ns\":{self_wall_ns}",
                 kind.as_str()
             );
-        }
-        TelemetryEvent::Raw { tag, detail } => {
-            push_str_field(&mut s, "tag", tag);
-            push_str_field(&mut s, "detail", detail);
         }
     }
     s.push('}');
@@ -316,6 +322,13 @@ pub fn parse_line(line: &str) -> Option<TelemetryRecord> {
         "sniff-lost" => TelemetryEvent::SnifferLost {
             reason: LossReason::parse(get_str(&fields, "reason")?)?,
         },
+        "resync-backoff" => TelemetryEvent::ResyncBackoff {
+            campaign: get_num(&fields, "campaign")?,
+            delay: Duration::from_nanos(get_num(&fields, "delay_ns")?),
+        },
+        "resync-exhausted" => TelemetryEvent::ResyncExhausted {
+            campaigns: get_num(&fields, "campaigns")?,
+        },
         "inject" => TelemetryEvent::InjectionAttempt {
             channel: get_num(&fields, "ch")?,
             lead: Duration::from_nanos(get_num(&fields, "lead_ns")?),
@@ -377,10 +390,6 @@ pub fn parse_line(line: &str) -> Option<TelemetryRecord> {
             wall_ns: get_num(&fields, "wall_ns")?,
             self_sim_ns: get_num(&fields, "self_sim_ns")?,
             self_wall_ns: get_num(&fields, "self_wall_ns")?,
-        },
-        "raw" => TelemetryEvent::Raw {
-            tag: get_str(&fields, "tag")?.to_owned(),
-            detail: get_str(&fields, "detail")?.to_owned(),
         },
         _ => return None,
     };
@@ -533,6 +542,11 @@ mod tests {
             TelemetryEvent::SnifferLost {
                 reason: LossReason::MissedEvents,
             },
+            TelemetryEvent::ResyncBackoff {
+                campaign: 3,
+                delay: Duration::from_millis(1_000),
+            },
+            TelemetryEvent::ResyncExhausted { campaigns: 9 },
             TelemetryEvent::InjectionAttempt {
                 channel: 13,
                 lead: Duration::from_nanos(41_250),
@@ -585,10 +599,6 @@ mod tests {
                 self_sim_ns: 1_100_000,
                 self_wall_ns: 399,
             },
-            TelemetryEvent::Raw {
-                tag: "legacy".into(),
-                detail: "free-form".into(),
-            },
         ];
         for (i, event) in events.into_iter().enumerate() {
             roundtrip(&TelemetryRecord {
@@ -619,9 +629,8 @@ mod tests {
         roundtrip(&TelemetryRecord {
             at: Instant::from_nanos(7),
             node: Some(0),
-            event: TelemetryEvent::Raw {
-                tag: "weird".into(),
-                detail: "quote \" backslash \\ newline \n tab \t bell \u{7}".into(),
+            event: TelemetryEvent::NodeAdded {
+                label: "quote \" backslash \\ newline \n tab \t bell \u{7}".into(),
             },
         });
     }

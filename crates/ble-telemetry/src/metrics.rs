@@ -359,6 +359,8 @@ struct HotTallies {
     disconnect: u64,
     sniffer_sync: u64,
     sniffer_lost: u64,
+    resync_backoff: u64,
+    resync_exhausted: u64,
     attempts: u64,
     success: u64,
     rejected: u64,
@@ -375,7 +377,6 @@ struct HotTallies {
     fault_episodes: u64,
     fault_frames_lost: u64,
     fault_frames_corrupted: u64,
-    raw: u64,
     span_enters: u64,
     // Per-SpanKind exit aggregates, indexed by `SpanKind::index()`.
     span_count: [u64; SpanKind::ALL.len()],
@@ -457,6 +458,8 @@ impl MetricsSink {
             ("link.disconnect", &mut t.disconnect),
             ("attack.sniffer_sync", &mut t.sniffer_sync),
             ("attack.sniffer_lost", &mut t.sniffer_lost),
+            ("attack.resync_backoff", &mut t.resync_backoff),
+            ("attack.resync_exhausted", &mut t.resync_exhausted),
             ("attack.attempts", &mut t.attempts),
             ("attack.success", &mut t.success),
             ("attack.rejected", &mut t.rejected),
@@ -471,7 +474,6 @@ impl MetricsSink {
             ("fault.episodes", &mut t.fault_episodes),
             ("fault.frames_lost", &mut t.fault_frames_lost),
             ("fault.frames_corrupted", &mut t.fault_frames_corrupted),
-            ("telemetry.raw", &mut t.raw),
             ("span.enters", &mut t.span_enters),
         ];
         for (name, n) in counters {
@@ -566,6 +568,8 @@ impl TelemetrySink for MetricsSink {
             TelemetryEvent::ConnectionClosed { .. } => bump(&mut t.disconnect),
             TelemetryEvent::SnifferSync { .. } => bump(&mut t.sniffer_sync),
             TelemetryEvent::SnifferLost { .. } => bump(&mut t.sniffer_lost),
+            TelemetryEvent::ResyncBackoff { .. } => bump(&mut t.resync_backoff),
+            TelemetryEvent::ResyncExhausted { .. } => bump(&mut t.resync_exhausted),
             TelemetryEvent::InjectionAttempt { lead, .. } => {
                 bump(&mut t.attempts);
                 t.lead_us.record(lead.as_micros_f64());
@@ -637,7 +641,6 @@ impl TelemetrySink for MetricsSink {
                     }
                 }
             }
-            TelemetryEvent::Raw { .. } => bump(&mut t.raw),
         }
     }
 

@@ -486,23 +486,15 @@ impl Attacker {
             Some(delay) => {
                 self.phase = Phase::BackingOff;
                 let now = ctx.now();
-                ctx.trace(
-                    "resync-backoff",
-                    format!(
-                        "campaign {} empty; backing off {:.0} ms",
-                        self.resync.campaigns(),
-                        delay.as_micros_f64() / 1_000.0
-                    ),
-                );
+                let campaign = self.resync.campaigns();
+                ctx.emit(|| TelemetryEvent::ResyncBackoff { campaign, delay });
                 self.arm_from(ctx, now, delay, T_RESYNC);
             }
             None => {
                 self.phase = Phase::Idle;
                 self.end_scan_span(ctx);
-                ctx.trace(
-                    "resync-exhausted",
-                    format!("gave up after {} scan campaigns", self.resync.campaigns()),
-                );
+                let campaigns = self.resync.campaigns();
+                ctx.emit(|| TelemetryEvent::ResyncExhausted { campaigns });
             }
         }
     }

@@ -1,12 +1,14 @@
 //! Telemetry integration: a scenario-A attack streams its typed events
 //! into attached sinks in storyline order (sync → attempt → verdict), and
-//! the metrics registry agrees with the attacker's own statistics.
+//! the metrics registry agrees with the attacker's own statistics. A
+//! sniffer that can never re-acquire reports each failed resync campaign
+//! and the final give-up as typed events.
 
 use ble_devices::bulb_payloads;
 use ble_host::att::AttPdu;
 use ble_scenario::ScenarioBuilder;
 use ble_telemetry::{MetricsSink, RingBufferSink, TelemetryEvent, Verdict};
-use injectable::{Mission, MissionState};
+use injectable::{Mission, MissionState, ResyncPolicy};
 use simkit::Duration;
 
 #[test]
@@ -104,4 +106,70 @@ fn ring_buffer_attaches_mid_run_and_keeps_newest() {
         ring.evicted() > 0,
         "connection traffic must overflow 16 slots"
     );
+}
+
+#[test]
+fn a_sniffer_that_never_acquires_reports_each_campaign_then_gives_up() {
+    let policy = ResyncPolicy {
+        campaign_hops: 10,
+        backoff_base: Duration::from_millis(20),
+        backoff_cap: Duration::from_millis(80),
+        max_retries: 3,
+    };
+    // The Central sits far out of range, never hears the victim advertise
+    // and so never sends the CONNECT_REQ the sniffer scans for.
+    let mut s = ScenarioBuilder::attack_rig(3)
+        .central_distance(10_000.0)
+        .attacker_resync(policy.clone())
+        .build();
+    let ring = RingBufferSink::new(1 << 16);
+    let records = ring.handle();
+    let metrics = MetricsSink::new();
+    let registry = metrics.handle();
+    s.world.add_telemetry_sink(Box::new(ring));
+    s.world.add_telemetry_sink(Box::new(metrics));
+    s.run_for(Duration::from_secs(3));
+    assert!(s.attacker().resync_exhausted());
+
+    let ring = records.lock();
+    let resync: Vec<&TelemetryEvent> = ring
+        .iter()
+        .map(|r| &r.event)
+        .filter(|e| {
+            matches!(
+                e,
+                TelemetryEvent::ResyncBackoff { .. } | TelemetryEvent::ResyncExhausted { .. }
+            )
+        })
+        .collect();
+    let (exhausted, backoffs) = resync.split_last().expect("resync events");
+    // One backoff per retry, numbered from the first campaign, with the
+    // policy's doubling delays; then exactly one give-up.
+    assert_eq!(backoffs.len(), usize::try_from(policy.max_retries).unwrap());
+    for (i, event) in backoffs.iter().enumerate() {
+        let n = u32::try_from(i).unwrap();
+        let delay = Duration::from_millis(20 << n).min(policy.backoff_cap);
+        assert_eq!(
+            **event,
+            TelemetryEvent::ResyncBackoff {
+                campaign: n + 1,
+                delay
+            }
+        );
+    }
+    assert_eq!(
+        **exhausted,
+        TelemetryEvent::ResyncExhausted {
+            campaigns: policy.max_retries + 1
+        }
+    );
+    drop(ring);
+
+    s.world.flush_telemetry();
+    let reg = registry.lock();
+    assert_eq!(
+        reg.counter("attack.resync_backoff"),
+        u64::from(policy.max_retries)
+    );
+    assert_eq!(reg.counter("attack.resync_exhausted"), 1);
 }

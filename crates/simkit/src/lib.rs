@@ -34,7 +34,6 @@ mod fault;
 mod queue;
 mod rng;
 mod time;
-mod trace;
 
 pub use backoff::ExponentialBackoff;
 pub use clock::DriftClock;
@@ -42,4 +41,3 @@ pub use fault::{DriftExcursion, FadingEpisode, FaultPlan, FrameLossRule, Interfe
 pub use queue::{EventId, EventQueue};
 pub use rng::SimRng;
 pub use time::{Duration, Instant};
-pub use trace::{Trace, TraceRecord};

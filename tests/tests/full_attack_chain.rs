@@ -6,7 +6,7 @@ use ble_host::att::AttPdu;
 use ble_host::gatt::props;
 use ble_host::{GattServer, HostStack, Uuid};
 use ble_link::{AddressType, ConnectionParams, DeviceAddress, UpdateRequest};
-use ble_phy::{Environment, NodeConfig, Position, Simulation};
+use ble_phy::{Environment, NodeConfig, Position, World};
 use injectable::{Attacker, AttackerConfig, Mission, MissionState};
 use simkit::{DriftClock, Duration, SimRng};
 
@@ -20,7 +20,7 @@ fn clock(rng: &mut SimRng, bound: f64) -> DriftClock {
 #[test]
 fn full_kill_chain_with_bystanders() {
     let mut rng = SimRng::seed_from(0x4B11);
-    let mut sim = Simulation::new(Environment::indoor_default(), rng.fork());
+    let mut sim = World::new(Environment::indoor_default(), rng.fork());
 
     // Victims.
     let bulb = Lightbulb::new(0xB1, rng.fork());
@@ -184,7 +184,7 @@ fn full_kill_chain_with_bystanders() {
 #[test]
 fn targeted_sniffer_skips_unrelated_connections() {
     let mut rng = SimRng::seed_from(0x5EED);
-    let mut sim = Simulation::new(Environment::indoor_default(), rng.fork());
+    let mut sim = World::new(Environment::indoor_default(), rng.fork());
 
     let fob = Keyfob::new(0xF0, rng.fork());
     let fob_addr = fob.ll.address();
@@ -229,7 +229,7 @@ fn targeted_sniffer_skips_unrelated_connections() {
 fn entire_attack_is_reproducible_from_a_seed() {
     let run = |seed: u64| -> (Option<u32>, (u8, u8, u8)) {
         let mut rng = SimRng::seed_from(seed);
-        let mut sim = Simulation::new(Environment::indoor_default(), rng.fork());
+        let mut sim = World::new(Environment::indoor_default(), rng.fork());
         let bulb = Lightbulb::new(0xB1, rng.fork());
         let control = bulb.control_handle();
         let bulb_addr = bulb.ll.address();
@@ -285,7 +285,7 @@ fn entire_attack_is_reproducible_from_a_seed() {
 #[test]
 fn hijacked_slave_serves_arbitrary_forged_profile() {
     let mut rng = SimRng::seed_from(0xFACE);
-    let mut sim = Simulation::new(Environment::indoor_default(), rng.fork());
+    let mut sim = World::new(Environment::indoor_default(), rng.fork());
     let mut bulb = Lightbulb::new(0xB1, rng.fork());
     bulb.auto_readvertise = false;
     let bulb_addr = bulb.ll.address();
