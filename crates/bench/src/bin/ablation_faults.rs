@@ -23,7 +23,7 @@
 //! the whole simulation budget.
 
 use bench::report::{artefact_dir, print_table, write_artefact};
-use bench::{run_point, Cli, SeriesReport, TrialConfig};
+use bench::{run_point, run_trial, Cli, SeriesReport, TrialConfig};
 use injectable::ResyncPolicy;
 use simkit::{Duration, FaultPlan, FrameLossRule, Instant, InterferenceBurst};
 
@@ -96,7 +96,14 @@ fn sweep(
         if level > 0.0 {
             cfg.rig.faults = Some(plan_for(level));
         }
-        rows.push(run_point(cli, "ablation_faults", parameter, level, &cfg));
+        rows.push(run_point(
+            cli,
+            "ablation_faults",
+            parameter,
+            level,
+            cfg.seed,
+            |seed| run_trial(&cfg.with_seed(seed)),
+        ));
         eprintln!("{parameter} {level}: done");
     }
     rows

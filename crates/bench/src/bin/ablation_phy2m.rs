@@ -5,7 +5,7 @@
 //! LE 1M only; this ablation quantifies how the faster PHY changes the
 //! attacker's cost on otherwise identical scenes.
 
-use bench::{print_series_to, run_point, Cli, TrialConfig};
+use bench::{print_series_to, run_point, run_trial, Cli, TrialConfig};
 use ble_phy::PhyMode;
 
 fn main() {
@@ -17,7 +17,14 @@ fn main() {
         cfg.rig.phy = phy;
         // A distance where collisions matter (4 m).
         cfg.rig.attacker_distance = 4.0;
-        rows.push(run_point(&cli, "ablation_phy2m", "phy_mbit", label, &cfg));
+        rows.push(run_point(
+            &cli,
+            "ablation_phy2m",
+            "phy_mbit",
+            label,
+            cfg.seed,
+            |seed| run_trial(&cfg.with_seed(seed)),
+        ));
         eprintln!("LE {label}M: done");
     }
     print_series_to(

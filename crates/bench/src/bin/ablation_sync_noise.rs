@@ -7,7 +7,7 @@
 //! margin `w_slave − w_attacker`, which is only a few µs at small hop
 //! intervals. Better timestamps ⇒ cheaper attacks.
 
-use bench::{print_series_to, run_point, Cli, TrialConfig};
+use bench::{print_series_to, run_point, run_trial, Cli, TrialConfig};
 
 fn main() {
     let cli = Cli::parse(25);
@@ -22,7 +22,8 @@ fn main() {
             "ablation_sync_noise",
             "noise_us",
             noise_us,
-            &cfg,
+            cfg.seed,
+            |seed| run_trial(&cfg.with_seed(seed)),
         ));
         eprintln!("anchor noise {noise_us} µs: done");
     }

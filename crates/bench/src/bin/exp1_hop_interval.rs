@@ -4,7 +4,7 @@
 //! geometry: 2 m equilateral triangle; injected frame: the 22-byte bulb
 //! Write Request.
 
-use bench::{print_series_to, run_point, Cli, TrialConfig};
+use bench::{print_series_to, run_point, run_trial, Cli, TrialConfig};
 
 fn main() {
     let cli = Cli::parse(25);
@@ -18,7 +18,8 @@ fn main() {
             "exp1_hop_interval",
             "hop_interval",
             f64::from(hop_interval),
-            &cfg,
+            cfg.seed,
+            |seed| run_trial(&cfg.with_seed(seed)),
         ));
         eprintln!("hop interval {hop_interval}: done");
     }

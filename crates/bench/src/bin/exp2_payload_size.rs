@@ -4,7 +4,7 @@
 //! 25 trials each.
 
 use bench::trial::raw_payload_of_len;
-use bench::{print_series_to, run_point, Cli, TrialConfig};
+use bench::{print_series_to, run_point, run_trial, Cli, TrialConfig};
 
 fn main() {
     let cli = Cli::parse(25);
@@ -19,7 +19,8 @@ fn main() {
             "exp2_payload_size",
             "payload_bytes",
             size as f64,
-            &cfg,
+            cfg.seed,
+            |seed| run_trial(&cfg.with_seed(seed)),
         ));
         eprintln!("payload {size} B: done");
     }

@@ -2,7 +2,7 @@
 //! (paper §VII-C). Bulb and phone 2 m apart (hop interval 36, the paper's
 //! smartphone default); attacker from 1 m to 10 m.
 
-use bench::{print_series_to, run_point, Cli, TrialConfig};
+use bench::{print_series_to, run_point, run_trial, Cli, TrialConfig};
 
 fn main() {
     let cli = Cli::parse(25);
@@ -17,7 +17,8 @@ fn main() {
             "exp3_distance",
             "distance_m",
             distance,
-            &cfg,
+            cfg.seed,
+            |seed| run_trial(&cfg.with_seed(seed)),
         ));
         eprintln!("distance {distance} m: done");
     }

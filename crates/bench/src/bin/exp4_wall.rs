@@ -1,7 +1,7 @@
 //! Figure 9, wall experiment: injection attempts with the attacker behind
 //! a wall at 2–8 m (paper §VII-C, final paragraph).
 
-use bench::{print_series_to, run_point, Cli, TrialConfig};
+use bench::{print_series_to, run_point, run_trial, Cli, TrialConfig};
 
 fn main() {
     let cli = Cli::parse(25);
@@ -13,7 +13,14 @@ fn main() {
         cfg.rig.attacker_distance = distance;
         cfg.rig.wall_db = Some(8.0);
         cfg.sim_budget = simkit::Duration::from_secs(240);
-        rows.push(run_point(&cli, "exp4_wall", "distance_m", distance, &cfg));
+        rows.push(run_point(
+            &cli,
+            "exp4_wall",
+            "distance_m",
+            distance,
+            cfg.seed,
+            |seed| run_trial(&cfg.with_seed(seed)),
+        ));
         eprintln!("wall distance {distance} m: done");
     }
     print_series_to(

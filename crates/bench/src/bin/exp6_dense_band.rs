@@ -7,128 +7,25 @@
 //! does to the attack: injection attempts to first success, the band's
 //! co-channel collision rate, and how many `RxStart` events the sharded
 //! medium schedules per frame (the quantity the channel-sharding rework
-//! keeps independent of world size).
+//! keeps independent of world size). The trial is
+//! [`bench::run_dense_trial`]; its band counters fold into the row's two
+//! extra columns.
 
-use bench::trial::{canonical_write_payload, trial_seed, TrialOutcome};
-use bench::{print_series_to, Cli, SeriesReport};
-use ble_devices::Lightbulb;
-use ble_link::Llid;
-use ble_phy::Environment;
-use ble_scenario::{ScenarioBuilder, TelemetryMode};
-use injectable::Mission;
-use simkit::Duration;
-
-/// Sim-deterministic band statistics captured alongside one trial.
-struct BandStats {
-    /// Frames put on the air (every transmitter, attacker included).
-    tx_frames: u64,
-    /// `RxStart` events the medium scheduled.
-    scheduled_rx_starts: u64,
-    /// Receptions corrupted by an overlapping transmission.
-    collisions: u64,
-}
-
-/// One dense-band trial: paper rig plus `pairs` background pairs in the
-/// dense hall; inject until the first confirmed success or the budget runs
-/// out.
-fn run_dense_trial(seed: u64, pairs: usize) -> (TrialOutcome, BandStats) {
-    let mut sc = ScenarioBuilder::paper_rig(seed)
-        .environment(Environment::dense_hall())
-        .background_pairs(pairs)
-        .delivery_tracker(128)
-        .telemetry(TelemetryMode::Metrics)
-        .build();
-    let outcome = |sc: &mut ble_scenario::Scenario, attempts, effect_observed| {
-        sc.world.flush_telemetry();
-        let totals = sc.delivery_totals().expect("tracker was enabled");
-        let collisions = sc
-            .metrics()
-            .map(|reg| reg.lock().counter("phy.collision"))
-            .unwrap_or(0);
-        (
-            TrialOutcome {
-                attempts,
-                sim_seconds: sc.now().as_micros_f64() / 1e6,
-                effect_observed,
-                metrics: None,
-                telemetry_downgraded: false,
-            },
-            BandStats {
-                tx_frames: totals.tx_frames,
-                scheduled_rx_starts: totals.scheduled_rx_starts,
-                collisions,
-            },
-        )
-    };
-    if !sc.wait_synchronised(Duration::from_secs(30)) {
-        return outcome(&mut sc, None, false);
-    }
-    sc.attacker_mut().arm(Mission::InjectRaw {
-        llid: Llid::StartOrComplete,
-        payload: canonical_write_payload(),
-        wanted_successes: 1,
-    });
-    let deadline = sc.now() + Duration::from_secs(20);
-    let mut attempts = None;
-    let mut stalled_ticks = 0u32;
-    while sc.now() < deadline {
-        sc.run_for(Duration::from_millis(200));
-        if sc.attacker().stats().successes() >= 1 {
-            attempts = sc.attacker().stats().attempts_to_first_success();
-            break;
-        }
-        if sc.attacker().resync_exhausted() {
-            break;
-        }
-        // Dense-band collisions can cycle the victim connection while the
-        // attacker injects blind; the bulb re-advertises and the Central
-        // reconnects on its own, so a stalled attacker only needs its scan
-        // campaign restarted.
-        if sc.attacker().connection().is_some() {
-            stalled_ticks = 0;
-        } else {
-            stalled_ticks += 1;
-            if stalled_ticks >= 10 {
-                stalled_ticks = 0;
-                let attacker_id = sc.attacker_id.expect("paper rig has an attacker");
-                sc.world
-                    .with_node_ctx::<injectable::Attacker, _>(attacker_id, |a, ctx| {
-                        a.restart_resync(ctx)
-                    });
-            }
-        }
-    }
-    let effect_observed = sc.victim::<Lightbulb>().app.pings > 0;
-    outcome(&mut sc, attempts, effect_observed)
-}
+use bench::{print_series_to, run_dense_trial, run_point, Cli};
 
 fn main() {
     let cli = Cli::parse(10);
     let base = cli.seed_base(6_000);
     let mut rows = Vec::new();
     for pairs in [8usize, 32, 128, 512] {
-        let row_start = bench::wallclock::Stopwatch::start();
-        // Serial trials: the 512-pair worlds are large, and channel
-        // occupancy is what the row measures — seed order is the artefact
-        // order either way.
-        let mut outcomes = Vec::new();
-        let mut tx_frames = 0u64;
-        let mut scheduled = 0u64;
-        let mut collisions = 0u64;
-        for i in 0..cli.trials {
-            let (o, band) = run_dense_trial(trial_seed(base + pairs as u64, i), pairs);
-            outcomes.push(o);
-            tx_frames += band.tx_frames;
-            scheduled += band.scheduled_rx_starts;
-            collisions += band.collisions;
-        }
-        let frames = tx_frames.max(1) as f64;
-        rows.push(
-            SeriesReport::from_outcomes("background_pairs", pairs as f64, &outcomes)
-                .with_extra("co_channel_collision_rate", collisions as f64 / frames)
-                .with_extra("mean_scheduled_rx_starts", scheduled as f64 / frames)
-                .with_throughput(row_start.elapsed_s()),
-        );
+        rows.push(run_point(
+            &cli,
+            "exp6_dense_band",
+            "background_pairs",
+            pairs as f64,
+            base + pairs as u64,
+            |seed| run_dense_trial(seed, pairs),
+        ));
         eprintln!("background_pairs {pairs}: done");
     }
     print_series_to(

@@ -3,7 +3,8 @@
 //!
 //! Measures, over many independent runs: false-positive rate on clean
 //! traffic, and detection rate (+ alerts per attempt) under an InjectaBLE
-//! campaign.
+//! campaign. A run whose connection or attacker never synchronises is
+//! reported as a setup failure and left out of the tallies.
 
 use bench::rig::{ExperimentRig, RigConfig};
 use injectable::{DetectorConfig, InjectionDetector, Mission};
@@ -15,8 +16,9 @@ struct RunResult {
     attempts: u32,
 }
 
-fn run(seed: u64, attack: bool) -> RunResult {
-    let mut rig = ExperimentRig::new(seed, &RigConfig::default());
+/// One run; `None` when the rig never synchronised within 30 s.
+fn run(seed: u64, attack: bool, cfg: &RigConfig) -> Option<RunResult> {
+    let mut rig = ExperimentRig::new(seed, cfg);
     let slave = rig.bulb().ll.address();
     let detector = InjectionDetector::new(DetectorConfig::default()).for_slave(slave);
     let id = rig.scenario.world.add_node(
@@ -24,7 +26,9 @@ fn run(seed: u64, attack: bool) -> RunResult {
         detector,
     );
     rig.scenario.world.start(id);
-    rig.wait_synchronised(Duration::from_secs(30));
+    if !rig.wait_synchronised(Duration::from_secs(30)) {
+        return None;
+    }
     rig.scenario.run_for(Duration::from_secs(2));
     if attack {
         rig.attacker_mut().set_inject_gap(2);
@@ -44,11 +48,11 @@ fn run(seed: u64, attack: bool) -> RunResult {
         (d.events_observed(), d.alerts().len())
     };
     let attempts = rig.attacker().stats().attempts_total;
-    RunResult {
+    Some(RunResult {
         events,
         alerts,
         attempts,
-    }
+    })
 }
 
 fn main() {
@@ -61,18 +65,43 @@ fn main() {
         let mut total_alerts = 0usize;
         let mut total_events = 0u64;
         let mut total_attempts = 0u64;
+        let mut setup_failures = 0u64;
         for i in 0..runs {
-            let r = run(11_000 + i, attack);
+            let seed = 11_000 + i;
+            let Some(r) = run(seed, attack, &RigConfig::default()) else {
+                println!("{label:<14}: seed {seed} setup failed: attacker never synchronised");
+                setup_failures += 1;
+                continue;
+            };
             detected += u64::from(r.alerts > 0);
             total_alerts += r.alerts;
             total_events += u64::from(r.events);
             total_attempts += u64::from(r.attempts);
         }
+        let completed = runs - setup_failures;
         println!(
-            "{label:<14}: runs flagged {detected}/{runs}   alerts {total_alerts:>4}   events observed {total_events:>6}   injection attempts {total_attempts:>4}"
+            "{label:<14}: runs flagged {detected}/{completed}   alerts {total_alerts:>4}   events observed {total_events:>6}   injection attempts {total_attempts:>4}"
         );
+        if setup_failures > 0 {
+            println!("setup failures: {setup_failures}/{runs}");
+        }
     }
     println!();
     println!("Expected shape: 0 runs flagged on clean traffic (no false positives),");
     println!("every attacked run flagged, with multiple alerts per campaign.");
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_rig_that_never_synchronises_is_a_setup_failure() {
+        // 10 km away the attacker never hears the CONNECT_IND.
+        let far = RigConfig {
+            attacker_distance: 10_000.0,
+            ..RigConfig::default()
+        };
+        assert!(run(11_000, true, &far).is_none());
+    }
 }

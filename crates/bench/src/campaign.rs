@@ -1,18 +1,18 @@
-//! Streaming sharded campaign runner: millions of trials, bounded memory.
+//! The trial engine: every sweep point that [`run_point`] runs goes
+//! through here, from a handful of trials to millions, in bounded memory.
 //!
-//! [`run_trials_parallel`](crate::trial::run_trials_parallel) materialises
-//! every [`TrialOutcome`] before any aggregation happens, which caps a
-//! series at whatever fits in RAM and loses panicked trials entirely. The
-//! campaign runner shards `count` trials into fixed-size chunks, fans the
-//! chunks out over worker threads, and folds each outcome into a
+//! [`run_campaign`] shards `count` seeded trials into chunks, fans the
+//! chunks out over worker threads, and folds each trial into a
 //! [`SeriesAccumulator`] **in seed order** the moment its chunk is merged —
-//! no `Vec<TrialOutcome>` ever exists.
+//! no `Vec` of outcomes ever exists. A trial is any closure from seed to a
+//! [`Foldable`] result, so exp6's band counters ride the same fold as a
+//! plain [`TrialOutcome`].
 //!
 //! Determinism: workers may finish chunks in any order, but a reorder
 //! buffer hands chunks to the single merger strictly in ascending chunk
 //! order, and the accumulator folds trials within a chunk in seed order.
-//! Every floating-point sum is therefore evaluated in exactly the order the
-//! in-memory path ([`SeriesReport::from_outcomes`]) uses, so the final
+//! Every floating-point sum is therefore evaluated in exactly the order a
+//! sequential fold ([`SeriesReport::from_outcomes`]) uses, so the final
 //! report is byte-identical at a fixed seed regardless of `BENCH_THREADS`.
 //!
 //! Checkpointing: with [`CampaignConfig::checkpoint`] set, the accumulator
@@ -35,14 +35,26 @@ use crate::cli::Cli;
 use crate::report::SeriesReport;
 use crate::stats::Summary;
 use crate::telemetry::{merge_histogram, merge_phase_profile, HistRow, PhaseProfile};
-use crate::trial::{run_trial, trial_seed, TrialConfig, TrialOutcome};
+use crate::trial::{trial_seed, BandSums, TrialOutcome};
 
-/// Default trials per chunk. Large enough that channel/reorder overhead is
-/// noise next to a real trial, small enough that a resume re-runs little.
-pub const DEFAULT_CHUNK_SIZE: u64 = 256;
+/// Chunks a campaign is cut into, until chunks reach `MAX_CHUNK_SIZE`.
+const TARGET_CHUNKS: u64 = 64;
+
+/// Largest chunk: big enough that channel and reorder overhead is noise
+/// next to a real trial, small enough that a resume re-runs little.
+const MAX_CHUNK_SIZE: u64 = 256;
 
 /// Default merged-chunk cadence between checkpoint lines.
 pub const DEFAULT_CHECKPOINT_EVERY: u64 = 16;
+
+/// Trials per chunk for a campaign of `count` trials: about 64 chunks, so
+/// a 25-trial run is one trial per chunk and fans out over every worker,
+/// capped at 256 trials per chunk for large campaigns. A function of
+/// `count` alone, never of the thread count, so a checkpoint sidecar
+/// resumes under any `BENCH_THREADS`.
+pub fn chunk_size_for(count: u64) -> u64 {
+    count.div_ceil(TARGET_CHUNKS).clamp(1, MAX_CHUNK_SIZE)
+}
 
 /// Worker-thread count for a fan-out over `max` parallelisable units:
 /// `BENCH_THREADS` when set (the determinism oracle pins 1 vs. N), else
@@ -64,15 +76,25 @@ pub fn bench_threads(max: u64) -> usize {
 // Streaming accumulator
 // ---------------------------------------------------------------------
 
+/// One finished trial as the campaign fold sees it.
+pub trait Foldable: Send {
+    /// Folds this trial into `acc`. The engine calls it in seed order.
+    fn fold_into(&self, acc: &mut SeriesAccumulator);
+}
+
+impl Foldable for TrialOutcome {
+    fn fold_into(&self, acc: &mut SeriesAccumulator) {
+        acc.fold(self);
+    }
+}
+
 /// Incremental fold of [`TrialOutcome`]s into the state a
-/// [`SeriesReport`] row needs — the streaming replacement for holding a
-/// `Vec<TrialOutcome>`.
+/// [`SeriesReport`] row needs, so no series ever holds its outcomes.
 ///
 /// Fold order matters: `f64` addition is not associative, so byte-identity
-/// with the in-memory path requires folding trials in seed order. The
-/// campaign engine guarantees that; [`SeriesReport::from_outcomes`] is
-/// itself implemented as a sequential fold through this type, so the two
-/// paths cannot drift apart.
+/// across thread counts requires folding trials in seed order. The
+/// campaign engine guarantees that, and [`SeriesReport::from_outcomes`] is
+/// itself a sequential fold through this type.
 ///
 /// Memory: everything here is O(1) per trial except `raw`, which keeps one
 /// `u32` per *successful* trial because the artefact format publishes the
@@ -92,6 +114,7 @@ pub struct SeriesAccumulator {
     events_sum: f64,
     events_n: u64,
     phase_profile: Vec<PhaseProfile>,
+    band: Option<BandSums>,
 }
 
 impl SeriesAccumulator {
@@ -111,6 +134,7 @@ impl SeriesAccumulator {
             events_sum: 0.0,
             events_n: 0,
             phase_profile: Vec::new(),
+            band: None,
         }
     }
 
@@ -137,25 +161,21 @@ impl SeriesAccumulator {
         }
     }
 
+    /// Adds one trial's band counters. A row that folds any gets exp6's two
+    /// band columns in [`SeriesAccumulator::report`].
+    pub fn fold_band(&mut self, b: &BandSums) {
+        let sums = self.band.get_or_insert_default();
+        sums.tx_frames = sums.tx_frames.saturating_add(b.tx_frames);
+        sums.scheduled_rx_starts = sums
+            .scheduled_rx_starts
+            .saturating_add(b.scheduled_rx_starts);
+        sums.collisions = sums.collisions.saturating_add(b.collisions);
+    }
+
     /// Folds one panicked trial: first-class data, not a silent gap. The
     /// trial counts against the requested denominator and nowhere else.
     pub fn fold_panicked(&mut self) {
         self.panicked = self.panicked.saturating_add(1);
-    }
-
-    /// Trials requested for the series.
-    pub fn requested(&self) -> u64 {
-        self.requested
-    }
-
-    /// Trials folded so far (panicked ones excluded).
-    pub fn completed(&self) -> u64 {
-        self.completed
-    }
-
-    /// Panicked trials folded so far.
-    pub fn panicked(&self) -> u64 {
-        self.panicked
     }
 
     /// Builds the report row for the folded state.
@@ -165,6 +185,19 @@ impl SeriesAccumulator {
         } else {
             Summary::of(&self.raw)
         };
+        let extras = self.band.map_or_else(Vec::new, |band| {
+            let frames = band.tx_frames.max(1) as f64;
+            vec![
+                (
+                    "co_channel_collision_rate".to_string(),
+                    band.collisions as f64 / frames,
+                ),
+                (
+                    "mean_scheduled_rx_starts".to_string(),
+                    band.scheduled_rx_starts as f64 / frames,
+                ),
+            ]
+        });
         SeriesReport {
             parameter: parameter.to_string(),
             value,
@@ -184,7 +217,7 @@ impl SeriesAccumulator {
             telemetry_downgrades: self.telemetry_downgrades,
             panicked_trials: self.panicked,
             phase_profile: self.phase_profile.clone(),
-            extras: Vec::new(),
+            extras,
         }
     }
 }
@@ -193,13 +226,12 @@ impl SeriesAccumulator {
 // Chunked engine
 // ---------------------------------------------------------------------
 
-/// One chunk's outcomes in trial order; `None` marks a panicked trial.
-pub type ChunkOutcomes = Vec<Option<TrialOutcome>>;
-
-/// Shards trials `[start_chunk * chunk_size, count)` into chunks, runs them
-/// on worker threads, and hands each chunk to `on_chunk` **strictly in
-/// ascending chunk order**. Stops after merging `max_chunks` chunks when
-/// set (the kill-and-resume hook). Returns the number of chunks merged.
+/// Shards trials `[start_chunk * chunk_size, count)` into chunks, runs
+/// trial `i` as `runner(trial_seed(seed_base, i))` on worker threads, and
+/// hands each chunk to `on_chunk` **strictly in ascending chunk order**
+/// (`None` marks a panicked trial). Stops after merging `max_chunks`
+/// chunks when set (the kill-and-resume hook). Returns the number of
+/// chunks merged.
 ///
 /// All cursors are `u64`: a campaign larger than the platform's `usize`
 /// never truncates. The worker→merger channel is *bounded* (a few chunks
@@ -208,8 +240,8 @@ pub type ChunkOutcomes = Vec<Option<TrialOutcome>>;
 /// `O(chunk_size × workers)` regardless of `count`. A single-worker run
 /// skips the channel entirely and executes chunks inline on the caller's
 /// thread; the fold order is identical either way.
-pub(crate) fn run_chunked<F, G>(
-    base: &TrialConfig,
+pub(crate) fn run_chunked<T, F, G>(
+    seed_base: u64,
     count: u64,
     chunk_size: u64,
     start_chunk: u64,
@@ -218,8 +250,9 @@ pub(crate) fn run_chunked<F, G>(
     mut on_chunk: G,
 ) -> u64
 where
-    F: Fn(&TrialConfig) -> TrialOutcome + Sync,
-    G: FnMut(u64, ChunkOutcomes),
+    T: Send,
+    F: Fn(u64) -> T + Sync,
+    G: FnMut(u64, Vec<Option<T>>),
 {
     assert!(chunk_size > 0, "chunk_size must be positive");
     let n_chunks = count.div_ceil(chunk_size);
@@ -232,16 +265,14 @@ where
     // Workers never claim past the merge target, so an early stop wastes at
     // most the chunks already in flight.
     let stop_chunk = start_chunk + target;
-    let run_one = |base: &TrialConfig, c: u64| -> ChunkOutcomes {
+    let run_one = |c: u64| -> Vec<Option<T>> {
         let lo = c.saturating_mul(chunk_size);
         let hi = lo.saturating_add(chunk_size).min(count);
-        let mut buf: ChunkOutcomes = Vec::with_capacity(usize::try_from(hi - lo).unwrap_or(0));
+        let mut buf = Vec::with_capacity(usize::try_from(hi - lo).unwrap_or(0));
         for i in lo..hi {
-            let mut cfg = base.clone();
-            cfg.seed = trial_seed(base.seed, i);
-            let seed = cfg.seed;
-            match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| runner(&cfg))) {
-                Ok(outcome) => buf.push(Some(outcome)),
+            let seed = trial_seed(seed_base, i);
+            match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| runner(seed))) {
+                Ok(trial) => buf.push(Some(trial)),
                 Err(_) => {
                     eprintln!(
                         "[bench] trial {i} (seed {seed}) panicked; \
@@ -261,7 +292,7 @@ where
         // allocates concurrently with the sim, which pushes glibc onto
         // extra malloc arenas and inflates peak RSS at every call.
         for c in start_chunk..stop_chunk {
-            on_chunk(c, run_one(base, c));
+            on_chunk(c, run_one(c));
             merged += 1;
         }
         return merged;
@@ -270,12 +301,11 @@ where
     // Backpressure: each worker may run at most ~2 chunks ahead of the
     // merger. Without the bound, a cheap runner (the synthetic soak) fills
     // the channel with the whole campaign and RSS scales with `count`.
-    let (tx, rx) = std::sync::mpsc::sync_channel::<(u64, ChunkOutcomes)>(threads * 2);
+    let (tx, rx) = std::sync::mpsc::sync_channel::<(u64, Vec<Option<T>>)>(threads * 2);
     std::thread::scope(|scope| {
         for _ in 0..threads {
             let next = &next;
             let tx = tx.clone();
-            let base = base.clone();
             let run_one = &run_one;
             scope.spawn(move || loop {
                 let c = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
@@ -284,7 +314,7 @@ where
                 }
                 // A closed channel means the merger stopped early; drop the
                 // chunk and exit.
-                if tx.send((c, run_one(&base, c))).is_err() {
+                if tx.send((c, run_one(c))).is_err() {
                     break;
                 }
             });
@@ -293,7 +323,7 @@ where
         // Single merger: a reorder buffer holds chunks that finished ahead
         // of the cursor (in practice bounded by the worker count) and the
         // callback only ever sees the next chunk in sequence.
-        let mut pending: BTreeMap<u64, ChunkOutcomes> = BTreeMap::new();
+        let mut pending = BTreeMap::new();
         let mut want = start_chunk;
         while want < stop_chunk {
             let Ok((c, buf)) = rx.recv() else { break };
@@ -316,8 +346,6 @@ where
 /// Knobs for one campaign series.
 #[derive(Debug, Clone)]
 pub struct CampaignConfig {
-    /// Trials per chunk (scheduling and checkpoint granularity).
-    pub chunk_size: u64,
     /// JSONL sidecar for checkpoint/resume; `None` disables checkpointing.
     pub checkpoint: Option<PathBuf>,
     /// Merged chunks between checkpoint lines (a final line is always
@@ -332,7 +360,6 @@ pub struct CampaignConfig {
 impl Default for CampaignConfig {
     fn default() -> Self {
         CampaignConfig {
-            chunk_size: DEFAULT_CHUNK_SIZE,
             checkpoint: None,
             checkpoint_every_chunks: DEFAULT_CHECKPOINT_EVERY,
             max_chunks: None,
@@ -352,24 +379,12 @@ pub struct CampaignRun {
     pub resumed_at_chunk: Option<u64>,
 }
 
-/// Runs a campaign of `count` trials of `base` (trial `i` seeded with
-/// [`trial_seed`]) through [`run_trial`], streaming outcomes into a
-/// [`SeriesAccumulator`] with optional checkpoint/resume.
-pub fn run_campaign(
-    base: &TrialConfig,
-    count: u64,
-    parameter: &str,
-    value: f64,
-    cfg: &CampaignConfig,
-) -> CampaignRun {
-    run_campaign_with(base, count, parameter, value, cfg, run_trial)
-}
-
-/// [`run_campaign`] with an explicit trial runner — the soak and resume
-/// tests substitute a cheap deterministic synthetic runner so million-trial
-/// campaigns stay affordable.
-pub fn run_campaign_with<F>(
-    base: &TrialConfig,
+/// Runs a campaign of `count` trials, trial `i` as
+/// `runner(trial_seed(seed_base, i))`, streaming each result into a
+/// [`SeriesAccumulator`] with optional checkpoint/resume. The chunk size
+/// is [`chunk_size_for`]`(count)`.
+pub fn run_campaign<T, F>(
+    seed_base: u64,
     count: u64,
     parameter: &str,
     value: f64,
@@ -377,14 +392,15 @@ pub fn run_campaign_with<F>(
     runner: F,
 ) -> CampaignRun
 where
-    F: Fn(&TrialConfig) -> TrialOutcome + Sync,
+    T: Foldable,
+    F: Fn(u64) -> T + Sync,
 {
-    assert!(cfg.chunk_size > 0, "chunk_size must be positive");
-    let n_chunks = count.div_ceil(cfg.chunk_size);
+    let chunk_size = chunk_size_for(count);
+    let n_chunks = count.div_ceil(chunk_size);
     let header = CampaignHeader {
-        seed: base.seed,
+        seed: seed_base,
         count,
-        chunk_size: cfg.chunk_size,
+        chunk_size,
         parameter: parameter.to_string(),
         value,
     };
@@ -422,16 +438,16 @@ where
     let cadence = cfg.checkpoint_every_chunks.max(1);
     let mut merged_this_run = 0u64;
     let merged = run_chunked(
-        base,
+        seed_base,
         count,
-        cfg.chunk_size,
+        chunk_size,
         start_chunk,
         cfg.max_chunks,
         &runner,
         |c, buf| {
             for slot in &buf {
                 match slot {
-                    Some(outcome) => acc.fold(outcome),
+                    Some(trial) => trial.fold_into(&mut acc),
                     None => acc.fold_panicked(),
                 }
             }
@@ -474,37 +490,40 @@ pub fn checkpoint_path(dir: Option<&Path>, exp: &str, parameter: &str, value: f6
     dir.join(format!("{exp}_{parameter}_{value}.jsonl"))
 }
 
-/// Runs one sweep point the way every experiment binary does: the
-/// streaming campaign path under `--campaign`, the in-memory
-/// [`run_trials_parallel`](crate::trial::run_trials_parallel) path
-/// otherwise — the two produce byte-identical rows at a fixed seed — and
-/// prices the row's wall-clock throughput either way.
-pub fn run_point(
+/// Runs one sweep point the way every engine-driven experiment binary
+/// does: `cli.trials` trials seeded from `seed_base` through
+/// [`run_campaign`], with a checkpoint sidecar under `--campaign`, and
+/// prices the row's wall-clock throughput.
+pub fn run_point<T, F>(
     cli: &Cli,
     exp: &str,
     parameter: &str,
     value: f64,
-    base: &TrialConfig,
-) -> SeriesReport {
+    seed_base: u64,
+    runner: F,
+) -> SeriesReport
+where
+    T: Foldable,
+    F: Fn(u64) -> T + Sync,
+{
     let row_start = crate::wallclock::Stopwatch::start();
-    let report = if cli.campaign {
-        let ccfg = CampaignConfig {
-            chunk_size: cli.chunk_size.unwrap_or(DEFAULT_CHUNK_SIZE),
+    let ccfg = if cli.campaign {
+        CampaignConfig {
             checkpoint: Some(checkpoint_path(
                 cli.checkpoint_dir.as_deref(),
                 exp,
                 parameter,
                 value,
             )),
-            checkpoint_every_chunks: DEFAULT_CHECKPOINT_EVERY,
             max_chunks: cli.campaign_max_chunks,
-        };
-        run_campaign(base, cli.trials, parameter, value, &ccfg).report
+            ..CampaignConfig::default()
+        }
     } else {
-        let series = crate::trial::run_trials_parallel(base, cli.trials);
-        SeriesReport::from_series(parameter, value, &series)
+        CampaignConfig::default()
     };
-    report.with_throughput(row_start.elapsed_s())
+    run_campaign(seed_base, cli.trials, parameter, value, &ccfg, runner)
+        .report
+        .with_throughput(row_start.elapsed_s())
 }
 
 // ---------------------------------------------------------------------
@@ -522,8 +541,8 @@ struct CampaignHeader {
     value: f64,
 }
 
-/// Sidecar format version.
-const CHECKPOINT_VERSION: u64 = 1;
+/// Sidecar format version (2 added the band sums).
+const CHECKPOINT_VERSION: u64 = 2;
 
 fn f64_bits_hex(v: f64) -> String {
     format!("{:016x}", v.to_bits())
@@ -576,7 +595,7 @@ fn checkpoint_line(header: &CampaignHeader, next_chunk: u64, acc: &SeriesAccumul
          \"parameter\":\"{}\",\"value_bits\":\"{}\",\"next_chunk\":{next_chunk},\
          \"acc\":{{\"requested\":{},\"completed\":{},\"panicked\":{},\
          \"unconfirmed\":{},\"downgrades\":{},\"events_n\":{},\"events_sum_bits\":\"{}\",\
-         \"raw\":[{}],\"anchor\":{},\"lead\":{},\"phases\":[{}]}}}}",
+         \"raw\":[{}],\"anchor\":{},\"lead\":{},\"phases\":[{}],\"band\":{}}}}}",
         header.seed,
         header.count,
         header.chunk_size,
@@ -593,6 +612,13 @@ fn checkpoint_line(header: &CampaignHeader, next_chunk: u64, acc: &SeriesAccumul
         hist_checkpoint_json(acc.anchor_error.as_ref()),
         hist_checkpoint_json(acc.lead_time.as_ref()),
         phases.join(","),
+        acc.band.map_or_else(
+            || "null".to_string(),
+            |b| format!(
+                "{{\"tx_frames\":{},\"rx_starts\":{},\"collisions\":{}}}",
+                b.tx_frames, b.scheduled_rx_starts, b.collisions
+            )
+        ),
     )
 }
 
@@ -745,6 +771,17 @@ fn acc_from_json(v: &Value, header: &CampaignHeader) -> Option<SeriesAccumulator
             self_wall_ns: num("self_wall_ns")?,
         });
     }
+    let band = match v.get("band")? {
+        Value::Null => None,
+        b => {
+            let num = |key| b.get(key).and_then(Value::as_num::<u64>);
+            Some(BandSums {
+                tx_frames: num("tx_frames")?,
+                scheduled_rx_starts: num("rx_starts")?,
+                collisions: num("collisions")?,
+            })
+        }
+    };
     Some(SeriesAccumulator {
         requested,
         completed,
@@ -757,6 +794,7 @@ fn acc_from_json(v: &Value, header: &CampaignHeader) -> Option<SeriesAccumulator
         events_sum: f64_bits_at(v, "events_sum_bits")?,
         events_n: num("events_n")?,
         phase_profile,
+        band,
     })
 }
 
@@ -764,11 +802,12 @@ fn acc_from_json(v: &Value, header: &CampaignHeader) -> Option<SeriesAccumulator
 mod tests {
     use super::*;
     use crate::telemetry::TrialMetrics;
+    use crate::trial::DenseTrial;
 
     /// Cheap deterministic synthetic outcome: a splitmix64-style scramble
     /// of the trial seed decides success, attempts and a metric block.
-    fn synth_outcome(cfg: &TrialConfig) -> TrialOutcome {
-        let mut x = cfg.seed;
+    fn synth_outcome(seed: u64) -> TrialOutcome {
+        let mut x = seed;
         x ^= x >> 30;
         x = x.wrapping_mul(0xBF58_476D_1CE4_E5B9);
         x ^= x >> 27;
@@ -792,15 +831,10 @@ mod tests {
         }
     }
 
-    fn base_cfg(seed: u64) -> TrialConfig {
-        TrialConfig::new(seed)
-    }
-
     #[test]
     fn engine_merges_chunks_in_order_and_respects_max_chunks() {
-        let base = base_cfg(11);
         let mut seen = Vec::new();
-        let merged = run_chunked(&base, 103, 10, 0, None, &synth_outcome, |c, buf| {
+        let merged = run_chunked(11, 103, 10, 0, None, &synth_outcome, |c, buf| {
             seen.push((c, buf.len()));
         });
         assert_eq!(merged, 11);
@@ -808,28 +842,22 @@ mod tests {
         assert_eq!(chunks, (0..11).collect::<Vec<_>>(), "ascending chunk order");
         assert_eq!(seen.last(), Some(&(10, 3)), "tail chunk is short");
         // An early stop merges exactly `max_chunks` chunks...
-        let merged = run_chunked(&base, 103, 10, 0, Some(4), &synth_outcome, |_, _| {});
+        let merged = run_chunked(11, 103, 10, 0, Some(4), &synth_outcome, |_, _| {});
         assert_eq!(merged, 4);
         // ...and a resume picks up the remainder.
-        let merged = run_chunked(&base, 103, 10, 4, None, &synth_outcome, |_, _| {});
+        let merged = run_chunked(11, 103, 10, 4, None, &synth_outcome, |_, _| {});
         assert_eq!(merged, 7);
         // A fully-consumed campaign runs nothing.
         assert_eq!(
-            run_chunked(&base, 103, 10, 11, None, &synth_outcome, |_, _| {}),
+            run_chunked(11, 103, 10, 11, None, &synth_outcome, |_, _| {}),
             0
         );
     }
 
     #[test]
     fn accumulator_report_matches_the_in_memory_path() {
-        let base = base_cfg(77);
-        let outcomes: Vec<TrialOutcome> = (0..57)
-            .map(|i| {
-                let mut cfg = base.clone();
-                cfg.seed = trial_seed(base.seed, i);
-                synth_outcome(&cfg)
-            })
-            .collect();
+        let outcomes: Vec<TrialOutcome> =
+            (0..57).map(|i| synth_outcome(trial_seed(77, i))).collect();
         let expected = SeriesReport::from_outcomes("p", 4.0, &outcomes);
         let mut acc = SeriesAccumulator::new(57);
         for o in &outcomes {
@@ -844,29 +872,26 @@ mod tests {
 
     #[test]
     fn campaign_equals_in_memory_fold_regardless_of_chunk_size() {
-        let base = base_cfg(5);
-        let outcomes: Vec<TrialOutcome> = (0..101)
-            .map(|i| {
-                let mut cfg = base.clone();
-                cfg.seed = trial_seed(base.seed, i);
-                synth_outcome(&cfg)
-            })
-            .collect();
+        let outcomes: Vec<TrialOutcome> =
+            (0..101).map(|i| synth_outcome(trial_seed(5, i))).collect();
         let expected =
             crate::report::rows_to_json(&[SeriesReport::from_outcomes("p", 1.0, &outcomes)]);
         for chunk_size in [1u64, 7, 64, 200] {
-            let cfg = CampaignConfig {
-                chunk_size,
-                ..CampaignConfig::default()
-            };
-            let run = run_campaign_with(&base, 101, "p", 1.0, &cfg, synth_outcome);
-            assert!(run.finished);
+            let mut acc = SeriesAccumulator::new(101);
+            run_chunked(5, 101, chunk_size, 0, None, &synth_outcome, |_, buf| {
+                for o in buf.iter().flatten() {
+                    acc.fold(o);
+                }
+            });
             assert_eq!(
-                crate::report::rows_to_json(&[run.report]),
+                crate::report::rows_to_json(&[acc.report("p", 1.0)]),
                 expected,
                 "chunk_size {chunk_size}"
             );
         }
+        let run = run_campaign(5, 101, "p", 1.0, &CampaignConfig::default(), synth_outcome);
+        assert!(run.finished);
+        assert_eq!(crate::report::rows_to_json(&[run.report]), expected);
     }
 
     #[test]
@@ -881,14 +906,16 @@ mod tests {
 
     #[test]
     fn checkpoint_line_round_trips_the_accumulator() {
-        let base = base_cfg(9);
         let mut acc = SeriesAccumulator::new(40);
         for i in 0..30 {
-            let mut cfg = base.clone();
-            cfg.seed = trial_seed(base.seed, i);
-            acc.fold(&synth_outcome(&cfg));
+            acc.fold(&synth_outcome(trial_seed(9, i)));
         }
         acc.fold_panicked();
+        acc.fold_band(&BandSums {
+            tx_frames: 900,
+            scheduled_rx_starts: 1_200,
+            collisions: 7,
+        });
         // A phase row exercises the SpanKind name round-trip.
         merge_phase_profile(
             &mut acc.phase_profile,
@@ -929,7 +956,7 @@ mod tests {
         };
         let mut acc = SeriesAccumulator::new(20);
         for i in 0..4 {
-            acc.fold(&synth_outcome(&base_cfg(trial_seed(3, i))));
+            acc.fold(&synth_outcome(trial_seed(3, i)));
         }
         let line = checkpoint_line(&header, 1, &acc);
         (header, line)
@@ -1012,7 +1039,7 @@ mod tests {
         };
         let mut acc = SeriesAccumulator::new(20);
         write_checkpoint(&path, &header, 1, &acc);
-        acc.fold(&synth_outcome(&base_cfg(3)));
+        acc.fold(&synth_outcome(3));
         write_checkpoint(&path, &header, 2, &acc);
         // Simulate a kill mid-append: a torn final line.
         {
@@ -1021,7 +1048,7 @@ mod tests {
                 .append(true)
                 .open(&path)
                 .unwrap();
-            f.write_all(b"{\"v\":1,\"seed\":3,\"count\":20,\"chu")
+            f.write_all(b"{\"v\":2,\"seed\":3,\"count\":20,\"chu")
                 .unwrap();
         }
         match load_checkpoint(&path, &header) {
@@ -1051,27 +1078,24 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("resume.jsonl");
         std::fs::remove_file(&path).ok();
-        let base = base_cfg(21);
-        let full_cfg = CampaignConfig {
-            chunk_size: 10,
-            ..CampaignConfig::default()
-        };
-        let uninterrupted = run_campaign_with(&base, 95, "p", 3.0, &full_cfg, synth_outcome);
+        let uninterrupted =
+            run_campaign(21, 95, "p", 3.0, &CampaignConfig::default(), synth_outcome);
         assert!(uninterrupted.finished);
-        // First invocation stops after 3 of 10 chunks.
+        // First invocation stops after 3 of 48 chunks.
+        let n_chunks = 95u64.div_ceil(chunk_size_for(95));
+        assert_eq!(n_chunks, 48);
         let mut cfg = CampaignConfig {
-            chunk_size: 10,
             checkpoint: Some(path.clone()),
             checkpoint_every_chunks: 2,
             max_chunks: Some(3),
         };
-        let first = run_campaign_with(&base, 95, "p", 3.0, &cfg, synth_outcome);
+        let first = run_campaign(21, 95, "p", 3.0, &cfg, synth_outcome);
         assert!(!first.finished);
         assert_eq!(first.resumed_at_chunk, None);
         assert_eq!(first.report.trials, 95, "denominator stays requested");
         // Second invocation resumes at chunk 3 and finishes.
         cfg.max_chunks = None;
-        let resumed = run_campaign_with(&base, 95, "p", 3.0, &cfg, synth_outcome);
+        let resumed = run_campaign(21, 95, "p", 3.0, &cfg, synth_outcome);
         assert!(resumed.finished);
         assert_eq!(resumed.resumed_at_chunk, Some(3));
         assert_eq!(
@@ -1080,9 +1104,9 @@ mod tests {
             "resumed campaign must be byte-identical to an uninterrupted one"
         );
         // A third invocation sees the completed checkpoint and runs nothing.
-        let done = run_campaign_with(&base, 95, "p", 3.0, &cfg, synth_outcome);
+        let done = run_campaign(21, 95, "p", 3.0, &cfg, synth_outcome);
         assert!(done.finished);
-        assert_eq!(done.resumed_at_chunk, Some(10));
+        assert_eq!(done.resumed_at_chunk, Some(n_chunks));
         std::fs::remove_file(&path).ok();
     }
 
@@ -1092,17 +1116,14 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("mismatch.jsonl");
         std::fs::remove_file(&path).ok();
-        let base = base_cfg(31);
         let cfg = CampaignConfig {
-            chunk_size: 10,
             checkpoint: Some(path.clone()),
             ..CampaignConfig::default()
         };
-        let first = run_campaign_with(&base, 40, "p", 1.0, &cfg, synth_outcome);
+        let first = run_campaign(31, 40, "p", 1.0, &cfg, synth_outcome);
         assert!(first.finished);
         // Same sidecar, different seed: must not resume, must still finish.
-        let other = base_cfg(32);
-        let second = run_campaign_with(&other, 40, "p", 1.0, &cfg, synth_outcome);
+        let second = run_campaign(32, 40, "p", 1.0, &cfg, synth_outcome);
         assert!(second.finished);
         assert_eq!(second.resumed_at_chunk, None);
         assert_eq!(second.report.trials, 40);
@@ -1111,18 +1132,17 @@ mod tests {
 
     #[test]
     fn panicking_trials_are_first_class_campaign_data() {
-        let base = base_cfg(51);
-        let panicky = |cfg: &TrialConfig| -> TrialOutcome {
-            if cfg.seed.is_multiple_of(3) {
+        let panicky = |seed: u64| -> TrialOutcome {
+            if seed.is_multiple_of(3) {
                 panic!("synthetic trial failure");
             }
-            synth_outcome(cfg)
+            synth_outcome(seed)
         };
         // Silence the default panic hook for the duration: the panics here
         // are the fixture, not noise worth printing backtraces for.
         let prev = std::panic::take_hook();
         std::panic::set_hook(Box::new(|_| {}));
-        let run = run_campaign_with(&base, 30, "p", 1.0, &CampaignConfig::default(), panicky);
+        let run = run_campaign(51, 30, "p", 1.0, &CampaignConfig::default(), panicky);
         std::panic::set_hook(prev);
         assert!(run.finished);
         let expected_panics = (0..30)
@@ -1136,6 +1156,69 @@ mod tests {
             run.report.raw.len(),
             "panicked trials never contribute attempts"
         );
+    }
+
+    /// An exp6-shaped synthetic trial: the outcome plus band counters.
+    fn synth_dense(seed: u64) -> DenseTrial {
+        DenseTrial {
+            outcome: synth_outcome(seed),
+            band: BandSums {
+                tx_frames: seed % 1_000 + 1,
+                scheduled_rx_starts: seed % 777,
+                collisions: seed % 13,
+            },
+        }
+    }
+
+    #[test]
+    fn banded_campaign_killed_and_resumed_matches_an_uninterrupted_row() {
+        let dir = std::env::temp_dir().join("bench-campaign-test-banded");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("banded.jsonl");
+        std::fs::remove_file(&path).ok();
+        let uninterrupted = run_campaign(
+            61,
+            90,
+            "background_pairs",
+            8.0,
+            &CampaignConfig::default(),
+            synth_dense,
+        );
+        let names: Vec<&str> = uninterrupted
+            .report
+            .extras
+            .iter()
+            .map(|(name, _)| name.as_str())
+            .collect();
+        assert_eq!(
+            names,
+            ["co_channel_collision_rate", "mean_scheduled_rx_starts"]
+        );
+        let mut cfg = CampaignConfig {
+            checkpoint: Some(path.clone()),
+            checkpoint_every_chunks: 1,
+            max_chunks: Some(5),
+        };
+        let first = run_campaign(61, 90, "background_pairs", 8.0, &cfg, synth_dense);
+        assert!(!first.finished, "the kill must land mid-campaign");
+        cfg.max_chunks = None;
+        let resumed = run_campaign(61, 90, "background_pairs", 8.0, &cfg, synth_dense);
+        assert_eq!(resumed.resumed_at_chunk, Some(5));
+        assert_eq!(
+            crate::report::rows_to_json(&[resumed.report]),
+            crate::report::rows_to_json(&[uninterrupted.report]),
+            "band sums must resume bit-exactly"
+        );
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn chunk_size_follows_the_trial_count() {
+        assert_eq!(chunk_size_for(0), 1);
+        assert_eq!(chunk_size_for(25), 1, "a default run fans out per trial");
+        assert_eq!(chunk_size_for(64), 1);
+        assert_eq!(chunk_size_for(65), 2);
+        assert_eq!(chunk_size_for(1_000_000), MAX_CHUNK_SIZE);
     }
 
     #[test]

@@ -5,15 +5,13 @@
 //! and `--json <path>` to write the `SeriesReport` rows there instead of
 //! the default `target/experiments/<name>.json`.
 //!
-//! The campaign flags switch a binary from the in-memory
-//! `run_trials_parallel` path to the streaming, checkpointable
-//! [`crate::campaign`] runner: `--campaign` enables it,
-//! `--chunk-size <n>` overrides the trials-per-chunk granularity,
-//! `--checkpoint-dir <path>` relocates the JSONL sidecars (default
-//! `target/experiments/campaigns/`), and `--campaign-max-chunks <n>`
-//! stops after merging `n` chunks (resume by re-running — CI smoke uses
-//! this to prove kill/resume works). Both paths produce byte-identical
-//! rows at a fixed seed.
+//! Every sweep point runs through the [`crate::campaign`] engine; the
+//! campaign flags only add checkpointing: `--campaign` writes a JSONL
+//! sidecar per point and resumes from it, `--checkpoint-dir <path>`
+//! relocates the sidecars (default `target/experiments/campaigns/`), and
+//! `--campaign-max-chunks <n>` stops after merging `n` chunks (resume by
+//! re-running — CI smoke uses this to prove kill/resume works). The rows
+//! are byte-identical with or without them.
 
 use std::path::PathBuf;
 
@@ -26,11 +24,9 @@ pub struct Cli {
     pub seed: Option<u64>,
     /// JSON artefact path (`--json`), replacing the default one.
     pub json: Option<PathBuf>,
-    /// Run sweep points through the streaming campaign runner
+    /// Checkpoint each sweep point to a sidecar and resume from it
     /// (`--campaign`).
     pub campaign: bool,
-    /// Campaign chunk size override (`--chunk-size`).
-    pub chunk_size: Option<u64>,
     /// Campaign checkpoint sidecar directory (`--checkpoint-dir`).
     pub checkpoint_dir: Option<PathBuf>,
     /// Stop each campaign point after merging this many chunks
@@ -53,7 +49,6 @@ impl Cli {
             seed: None,
             json: None,
             campaign: false,
-            chunk_size: None,
             checkpoint_dir: None,
             campaign_max_chunks: None,
         };
@@ -70,10 +65,6 @@ impl Cli {
                     None => eprintln!("warning: --json expects a path; ignored"),
                 },
                 "--campaign" => cli.campaign = true,
-                "--chunk-size" => match args.next().and_then(|v| v.parse().ok()) {
-                    Some(v) if v > 0 => cli.chunk_size = Some(v),
-                    _ => eprintln!("warning: --chunk-size expects a positive integer; ignored"),
-                },
                 "--checkpoint-dir" => match args.next() {
                     Some(v) => cli.checkpoint_dir = Some(PathBuf::from(v)),
                     None => eprintln!("warning: --checkpoint-dir expects a path; ignored"),
@@ -160,13 +151,10 @@ mod tests {
     fn campaign_flags_parse() {
         let cli = parse(&[]);
         assert!(!cli.campaign);
-        assert_eq!(cli.chunk_size, None);
         assert_eq!(cli.checkpoint_dir, None);
         assert_eq!(cli.campaign_max_chunks, None);
         let cli = parse(&[
             "--campaign",
-            "--chunk-size",
-            "128",
             "--checkpoint-dir",
             "cp",
             "--campaign-max-chunks",
@@ -174,16 +162,14 @@ mod tests {
             "9",
         ]);
         assert!(cli.campaign);
-        assert_eq!(cli.chunk_size, Some(128));
         assert_eq!(
             cli.checkpoint_dir.as_deref(),
             Some(std::path::Path::new("cp"))
         );
         assert_eq!(cli.campaign_max_chunks, Some(2));
         assert_eq!(cli.trials, 9);
-        // Zero is not a usable chunk size or chunk budget.
-        let cli = parse(&["--chunk-size", "0", "--campaign-max-chunks", "0"]);
-        assert_eq!(cli.chunk_size, None);
+        // Zero is not a usable chunk budget.
+        let cli = parse(&["--campaign-max-chunks", "0"]);
         assert_eq!(cli.campaign_max_chunks, None);
     }
 }

@@ -8,7 +8,7 @@ use ble_telemetry::json;
 use crate::campaign::SeriesAccumulator;
 use crate::stats::Summary;
 use crate::telemetry::{HistRow, PhaseProfile};
-use crate::trial::{TrialOutcome, TrialSeries};
+use crate::trial::TrialOutcome;
 
 /// One row of an experiment series: a parameter value and its outcome
 /// distribution.
@@ -78,28 +78,12 @@ impl SeriesReport {
     /// gets an empty attempts summary instead of panicking, so a sweep
     /// point at the edge of the attack's envelope still produces a row.
     ///
-    /// Implemented as a sequential fold through
-    /// [`SeriesAccumulator`] — the same per-trial fold the
-    /// streaming campaign runner uses — so the in-memory and campaign
-    /// paths produce byte-identical rows by construction.
+    /// Implemented as a sequential fold through [`SeriesAccumulator`] —
+    /// the same per-trial fold the campaign engine uses.
     pub fn from_outcomes(parameter: &str, value: f64, outcomes: &[TrialOutcome]) -> SeriesReport {
         let mut acc = SeriesAccumulator::new(outcomes.len() as u64);
         for o in outcomes {
             acc.fold(o);
-        }
-        acc.report(parameter, value)
-    }
-
-    /// Builds a row from a [`TrialSeries`]: like [`Self::from_outcomes`]
-    /// but with the requested-trial denominator and the panicked-trial
-    /// count the series carries.
-    pub fn from_series(parameter: &str, value: f64, series: &TrialSeries) -> SeriesReport {
-        let mut acc = SeriesAccumulator::new(series.requested);
-        for o in &series.outcomes {
-            acc.fold(o);
-        }
-        for _ in 0..series.panicked {
-            acc.fold_panicked();
         }
         acc.report(parameter, value)
     }
@@ -523,13 +507,14 @@ mod tests {
 
     #[test]
     fn panicked_trials_surface_in_report_and_json() {
-        use crate::trial::TrialSeries;
-        let series = TrialSeries {
-            outcomes: outcomes(&[2, 4]),
-            requested: 5,
-            panicked: 3,
-        };
-        let r = SeriesReport::from_series("hop", 36.0, &series);
+        let mut acc = SeriesAccumulator::new(5);
+        for o in &outcomes(&[2, 4]) {
+            acc.fold(o);
+        }
+        for _ in 0..3 {
+            acc.fold_panicked();
+        }
+        let r = acc.report("hop", 36.0);
         assert_eq!(r.trials, 5, "denominator is requested, not returned");
         assert_eq!(r.succeeded, 2);
         assert_eq!(r.panicked_trials, 3);

@@ -10,7 +10,6 @@
 //! [`Scenario`] does the rest.
 
 use ble_devices::{Central, Lightbulb};
-use ble_phy::NodeId;
 use ble_scenario::{Scenario, ScenarioBuilder, TelemetryMode};
 use injectable::{Attacker, ResyncPolicy};
 use simkit::{Duration, FaultPlan};
@@ -148,13 +147,6 @@ impl ExperimentRig {
     /// Mutable access to the attacker.
     pub fn attacker_mut(&mut self) -> &mut Attacker {
         self.scenario.attacker_mut()
-    }
-
-    /// Attacker node id (for moving it between runs).
-    pub fn attacker_id(&self) -> NodeId {
-        self.scenario
-            .attacker_id
-            .expect("paper rig always has an attacker")
     }
 
     /// Runs until the connection is up and the attacker follows it with

@@ -1,10 +1,20 @@
 //! One injection trial = one data point of Figure 9.
+//!
+//! [`run_trial`] is the quiet-lab trial every Figure 9 sweep runs;
+//! [`run_multi_conn_trial`] (exp5) and [`run_dense_trial`] (exp6) put the
+//! same attack into a multi-connection Central and a dense band. All three
+//! share one attack loop, [`inject_until_success`], and run under the
+//! campaign engine through [`crate::run_point`].
 
+use ble_devices::Lightbulb;
 use ble_link::Llid;
+use ble_phy::Environment;
+use ble_scenario::{Scenario, ScenarioBuilder};
 use ble_telemetry::{SharedRegistry, SpanKind};
 use injectable::{Attacker, Mission};
 use simkit::Duration;
 
+use crate::campaign::{Foldable, SeriesAccumulator};
 use crate::rig::{ExperimentRig, RigConfig};
 use crate::telemetry::{TelemetryMode, TrialMetrics};
 
@@ -35,6 +45,14 @@ impl TrialConfig {
             llid: Llid::StartOrComplete,
             sim_budget: Duration::from_secs(120),
             telemetry: TelemetryMode::default(),
+        }
+    }
+
+    /// This configuration with another seed: trial `i` of a sweep point.
+    pub fn with_seed(&self, seed: u64) -> TrialConfig {
+        TrialConfig {
+            seed,
+            ..self.clone()
         }
     }
 }
@@ -103,7 +121,8 @@ impl TrialOutcome {
 
 /// Watchdog over the 200 ms trial-loop ticks: counts how long the attacker
 /// has gone without a followed connection and decides when the harness
-/// should bounce the Central and restart the attacker's scan.
+/// should act (restart the attacker's scan, bouncing the Central first in
+/// [`run_trial`]).
 ///
 /// The Central's own connection state is deliberately **not** consulted: an
 /// earlier revision only counted ticks while the Central was connected,
@@ -167,7 +186,7 @@ pub fn run_trial(cfg: &TrialConfig) -> TrialOutcome {
         let metrics = finish_metrics(&mut rig, registry.as_ref(), sync_wall_s, 0.0);
         return TrialOutcome {
             attempts: None,
-            sim_seconds: rig.scenario.now().as_micros_f64() / 1e6,
+            sim_seconds: sim_seconds(&rig.scenario),
             effect_observed: false,
             metrics,
             telemetry_downgraded,
@@ -175,47 +194,14 @@ pub fn run_trial(cfg: &TrialConfig) -> TrialOutcome {
     }
     rig.scenario.world.span_exit(sync_span);
     let sync_wall_s = wall_start.elapsed_s();
-    rig.attacker_mut().arm(Mission::InjectRaw {
-        llid: cfg.llid,
-        payload: cfg.payload.clone(),
-        wanted_successes: 1,
-    });
-    let deadline = rig.scenario.now() + cfg.sim_budget;
-    let mut attempts = None;
-    let mut stall = StallTracker::default();
     let follow_span = rig.scenario.world.span_enter(SpanKind::TrialFollow, 0);
-    while rig.scenario.now() < deadline {
-        rig.scenario.run_for(Duration::from_millis(200));
-        let bounce = {
-            let attacker = rig.attacker();
-            if attacker.stats().successes() >= 1 {
-                attempts = attacker.stats().attempts_to_first_success();
-                break;
-            }
-            // Under sustained impairment the attacker's bounded resync can
-            // run out of retries; the trial is then a failure and burning
-            // the rest of the budget would not change that.
-            if attacker.resync_exhausted() {
-                break;
-            }
-            stall.note(attacker.connection().is_some())
-        };
-        // The attacker can permanently desynchronise if the connection
-        // cycled while it was injecting blind. The paper's operators simply
-        // restarted the connection; do the same: bounce the central so a
-        // fresh CONNECT_REQ reaches the sniffer, and restart the attacker's
-        // scan in case its resync loop went quiet (a no-op while it is
-        // already scanning or following).
-        if bounce {
-            if rig.central().ll.is_connected() {
-                rig.central_mut().ll.request_disconnect(0x13);
-            }
-            let attacker_id = rig.attacker_id();
-            rig.scenario
-                .world
-                .with_node_ctx::<Attacker, _>(attacker_id, |a, ctx| a.restart_resync(ctx));
-        }
-    }
+    let attempts = inject_until_success(
+        &mut rig.scenario,
+        cfg.llid,
+        cfg.payload.clone(),
+        cfg.sim_budget,
+        true,
+    );
     rig.scenario.world.span_exit(follow_span);
     let attack_wall_s = wall_start.elapsed_s() - sync_wall_s;
     let verify_span = rig.scenario.world.span_enter(SpanKind::TrialVerify, 0);
@@ -226,7 +212,7 @@ pub fn run_trial(cfg: &TrialConfig) -> TrialOutcome {
     let metrics = finish_metrics(&mut rig, registry.as_ref(), sync_wall_s, attack_wall_s);
     TrialOutcome {
         attempts,
-        sim_seconds: rig.scenario.now().as_micros_f64() / 1e6,
+        sim_seconds: sim_seconds(&rig.scenario),
         effect_observed,
         metrics,
         telemetry_downgraded,
@@ -245,70 +231,236 @@ pub fn trial_seed(base: u64, i: u64) -> u64 {
     base.wrapping_add(i.wrapping_mul(0x9E37_79B9_7F4A_7C15))
 }
 
-/// The outcomes of a trial series plus the accounting the outcomes alone
-/// cannot carry: how many trials were *requested* and how many panicked.
+/// The attack loop every trial shares: arms the attacker to inject
+/// `payload` until one confirmed success, then runs `sc` in 200 ms ticks
+/// until that success, until the attacker's bounded resync gives up, or
+/// until `budget` of simulated time has passed. Returns the attempts
+/// before the first success, `None` when there was none.
 ///
-/// Report denominators come from `requested`, never from `outcomes.len()`
-/// — a panicked trial used to silently shrink every success-rate
-/// denominator, which is exactly the lossy accounting this type fixes.
-#[derive(Debug, Clone)]
-pub struct TrialSeries {
-    /// Completed trials in seed order (panicked trials are absent here but
-    /// counted in `panicked`).
-    pub outcomes: Vec<TrialOutcome>,
-    /// Trials requested for the series.
-    pub requested: u64,
-    /// Trials whose `run_trial` panicked (caught; seed reported on stderr).
-    pub panicked: u64,
+/// After 10 ticks (2 s) without a followed connection the attacker's scan
+/// restarts (a no-op while it is already scanning or following). With
+/// `bounce_central` the Central first drops its link, so that a fresh
+/// CONNECT_REQ reaches the sniffer — the paper's operators restarted a
+/// connection the attacker had lost. The multi-connection and dense-band
+/// Centrals re-establish dropped links on their own, so their trials only
+/// restart the scan.
+pub fn inject_until_success(
+    sc: &mut Scenario,
+    llid: Llid,
+    payload: Vec<u8>,
+    budget: Duration,
+    bounce_central: bool,
+) -> Option<u32> {
+    sc.attacker_mut().arm(Mission::InjectRaw {
+        llid,
+        payload,
+        wanted_successes: 1,
+    });
+    let deadline = sc.now() + budget;
+    let mut stall = StallTracker::default();
+    while sc.now() < deadline {
+        sc.run_for(Duration::from_millis(200));
+        let attacker = sc.attacker();
+        if attacker.stats().successes() >= 1 {
+            return attacker.stats().attempts_to_first_success();
+        }
+        // Under sustained impairment the attacker's bounded resync can
+        // run out of retries; the trial is then a failure and burning the
+        // rest of the budget would not change that.
+        if attacker.resync_exhausted() {
+            return None;
+        }
+        if stall.note(attacker.connection().is_some()) {
+            if bounce_central && sc.central().ll.is_connected() {
+                sc.central_mut().ll.request_disconnect(0x13);
+            }
+            restart_attacker_scan(sc);
+        }
+    }
+    None
 }
 
-impl TrialSeries {
-    /// Trials that ran to completion.
-    pub fn completed(&self) -> u64 {
-        self.outcomes.len() as u64
+fn restart_attacker_scan(sc: &mut Scenario) {
+    let id = sc.attacker_id.expect("paper rig has an attacker");
+    sc.world
+        .with_node_ctx::<Attacker, _>(id, |a, ctx| a.restart_resync(ctx));
+}
+
+fn sim_seconds(sc: &Scenario) -> f64 {
+    sc.now().as_micros_f64() / 1e6
+}
+
+/// exp5's trial: bring up `conns` concurrent connections on the
+/// slot-pooled Central, aim the attacker at the newest one, and inject
+/// until the first confirmed success or the budget runs out.
+pub fn run_multi_conn_trial(seed: u64, conns: usize) -> TrialOutcome {
+    let mut sc = ScenarioBuilder::paper_rig(seed)
+        .multi_peripheral(conns)
+        .build();
+    // Aim before the world runs: the sniffer must see the target's
+    // CONNECT_IND, and establishment is serialised with the victim first.
+    let target = if conns > 1 {
+        *sc.extra_conn_handles
+            .last()
+            .expect("multi_peripheral(n>1) yields extra handles")
+    } else {
+        sc.central().conn_handles()[0]
+    };
+    assert!(sc.aim_attacker_at(target), "fresh handle cannot be stale");
+    let failed = |sc: &Scenario| TrialOutcome {
+        attempts: None,
+        sim_seconds: sim_seconds(sc),
+        effect_observed: false,
+        metrics: None,
+        telemetry_downgraded: false,
+    };
+    // Serial establishment: every slot must hold a live connection before
+    // the attack phase starts, or the row would not measure `conns`
+    // concurrent connections at all.
+    if !sc.wait_connections(conns, Duration::from_secs(120)) {
+        return failed(&sc);
+    }
+    // Attacker synchronisation against the target connection. The sniffer
+    // scans one advertising channel at a time, so it usually misses the
+    // target's one CONNECT_IND during serial bring-up — and an established
+    // slot never sends another. Bounce the target link whenever the
+    // attacker has gone a while without following: the slot auto-reconnects
+    // with a fresh CONNECT_IND for the sniffer to latch.
+    let sync_deadline = sc.now() + Duration::from_secs(120);
+    let mut unfollowed_ticks = 0u32;
+    let synced = loop {
+        if sc.now() >= sync_deadline {
+            break false;
+        }
+        sc.run_for(Duration::from_millis(100));
+        let following = sc
+            .attacker()
+            .connection()
+            .map(|c| c.has_slave_seq())
+            .unwrap_or(false);
+        if following && sc.live_connections() >= conns {
+            break true;
+        }
+        if sc.attacker().connection().is_some() {
+            unfollowed_ticks = 0;
+        } else {
+            unfollowed_ticks += 1;
+            if unfollowed_ticks >= 30 {
+                unfollowed_ticks = 0;
+                // Each bounce releases the slot and bumps its generation:
+                // re-fetch the current handle instead of re-using the stale
+                // build-time one.
+                let slot = target.index();
+                if let Some(current) = sc.central().conn_manager().handle_at(slot) {
+                    sc.bounce_connection(current);
+                }
+                restart_attacker_scan(&mut sc);
+            }
+        }
+    };
+    if !synced {
+        return failed(&sc);
+    }
+    let attempts = inject_until_success(
+        &mut sc,
+        Llid::StartOrComplete,
+        canonical_write_payload(),
+        Duration::from_secs(120),
+        false,
+    );
+    // Observable effect on the *target* peripheral's application.
+    let effect_observed = if conns > 1 {
+        sc.extra_peripheral::<Lightbulb>(conns - 2).app.pings > 0
+    } else {
+        sc.victim::<Lightbulb>().app.pings > 0
+    };
+    TrialOutcome {
+        attempts,
+        sim_seconds: sim_seconds(&sc),
+        effect_observed,
+        metrics: None,
+        telemetry_downgraded: false,
     }
 }
 
-/// Runs `count` trials across OS threads, trial `i` seeded with
-/// [`trial_seed`]`(base.seed, i)` (a golden-ratio stride, **not**
-/// consecutive seeds — consecutive integers produce correlated RNG
-/// streams).
-///
-/// A panicking trial does not bring the series down: the panic is caught,
-/// the failing seed is reported on stderr, the trial is counted in
-/// [`TrialSeries::panicked`], and every other trial's outcome is kept in
-/// seed order. `BENCH_THREADS` pins the worker count (used by `cargo xtask
-/// determinism` to prove outcomes identical at 1 vs. N threads); the
-/// series is in seed order either way, so the thread count can never show
-/// through in the artefacts.
-///
-/// This is the in-memory path: every outcome is materialised. For series
-/// too large to hold — or that need checkpoint/resume — use
-/// [`crate::campaign::run_campaign`], which streams outcomes through the
-/// same chunked engine without keeping them.
-pub fn run_trials_parallel(base: &TrialConfig, count: u64) -> TrialSeries {
-    let mut series = TrialSeries {
-        outcomes: Vec::new(),
-        requested: count,
-        panicked: 0,
+/// exp6's per-trial band counters, summed over a report row.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct BandSums {
+    /// Frames put on the air (every transmitter, attacker included).
+    pub tx_frames: u64,
+    /// `RxStart` events the medium scheduled.
+    pub scheduled_rx_starts: u64,
+    /// Receptions corrupted by an overlapping transmission.
+    pub collisions: u64,
+}
+
+/// One exp6 trial: its outcome plus the band's counters.
+#[derive(Debug, Clone)]
+pub struct DenseTrial {
+    /// The trial's outcome.
+    pub outcome: TrialOutcome,
+    /// Sim-deterministic band statistics captured alongside it.
+    pub band: BandSums,
+}
+
+impl Foldable for DenseTrial {
+    fn fold_into(&self, acc: &mut SeriesAccumulator) {
+        acc.fold(&self.outcome);
+        acc.fold_band(&self.band);
+    }
+}
+
+/// exp6's trial: the paper rig plus `pairs` background connection pairs in
+/// a dense hall; inject until the first confirmed success or the budget
+/// runs out.
+pub fn run_dense_trial(seed: u64, pairs: usize) -> DenseTrial {
+    let mut sc = ScenarioBuilder::paper_rig(seed)
+        .environment(Environment::dense_hall())
+        .background_pairs(pairs)
+        .delivery_tracker(128)
+        .telemetry(TelemetryMode::Metrics)
+        .build();
+    // Dense-band collisions can cycle the victim connection while the
+    // attacker injects blind; the bulb re-advertises and the Central
+    // reconnects on its own.
+    let (attempts, effect_observed) = if sc.wait_synchronised(Duration::from_secs(30)) {
+        let attempts = inject_until_success(
+            &mut sc,
+            Llid::StartOrComplete,
+            canonical_write_payload(),
+            Duration::from_secs(20),
+            false,
+        );
+        (attempts, sc.victim::<Lightbulb>().app.pings > 0)
+    } else {
+        (None, false)
     };
-    // Chunk size 1 keeps the old per-trial work stealing (trials are
-    // heavyweight, so scheduling granularity matters more than channel
-    // overhead); chunks arrive at the merger in seed order regardless.
-    crate::campaign::run_chunked(base, count, 1, 0, None, &run_trial, |_, chunk| {
-        for slot in chunk {
-            match slot {
-                Some(outcome) => series.outcomes.push(outcome),
-                None => series.panicked += 1,
-            }
-        }
-    });
-    series
+    sc.world.flush_telemetry();
+    let totals = sc.delivery_totals().expect("tracker was enabled");
+    let collisions = sc
+        .metrics()
+        .map(|reg| reg.lock().counter("phy.collision"))
+        .unwrap_or(0);
+    DenseTrial {
+        outcome: TrialOutcome {
+            attempts,
+            sim_seconds: sim_seconds(&sc),
+            effect_observed,
+            metrics: None,
+            telemetry_downgraded: false,
+        },
+        band: BandSums {
+            tx_frames: totals.tx_frames,
+            scheduled_rx_starts: totals.scheduled_rx_starts,
+            collisions,
+        },
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::campaign::{run_campaign, CampaignConfig};
 
     #[test]
     fn canonical_payload_gives_22_byte_frame() {
@@ -470,14 +622,18 @@ mod tests {
 
     #[test]
     fn parallel_trials_are_deterministic() {
-        let cfg = TrialConfig::new(7);
-        let a = run_trials_parallel(&cfg, 4);
-        let b = run_trials_parallel(&cfg, 4);
-        let attempts = |s: &TrialSeries| s.outcomes.iter().map(|o| o.attempts).collect::<Vec<_>>();
-        assert_eq!(attempts(&a), attempts(&b));
-        assert_eq!(a.requested, 4);
-        assert_eq!(a.completed(), 4);
-        assert_eq!(a.panicked, 0);
+        let series = || {
+            let cfg = TrialConfig::new(7);
+            run_campaign(7, 4, "p", 0.0, &CampaignConfig::default(), |seed| {
+                run_trial(&cfg.with_seed(seed))
+            })
+            .report
+        };
+        let (a, b) = (series(), series());
+        assert_eq!(a.raw, b.raw);
+        assert_eq!(a.succeeded, b.succeeded);
+        assert_eq!(a.trials, 4);
+        assert_eq!(a.panicked_trials, 0, "every trial ran to an outcome");
     }
 
     /// A mild but non-trivial impairment plan: every fault family is
@@ -552,28 +708,34 @@ mod tests {
     #[test]
     fn parallel_trials_survive_a_panicking_trial() {
         // A 300-byte raw payload blows the 255-byte LL limit: the forge path
-        // asserts inside the trial. The series must contain the panic,
-        // report the seed, and not bring the caller down — and, since the
-        // lossy-accounting fix, the panicked trials must be *counted*, not
+        // asserts inside the trial. The engine must contain the panic,
+        // report the seed, and not bring the caller down — and the panicked
+        // trials must be *counted* against the requested denominator, not
         // silently absent.
-        let mut cfg = TrialConfig::new(99);
-        cfg.payload = vec![0xAB; 300];
-        let out = run_trials_parallel(&cfg, 2);
-        assert!(
-            out.outcomes.is_empty(),
-            "panicked trials contribute no outcomes"
-        );
-        assert_eq!(out.requested, 2);
-        assert_eq!(out.panicked, 2, "every panicked trial is accounted for");
-        // The report row keeps the requested denominator and surfaces the
-        // panic count instead of quietly reporting a smaller series.
-        let row = crate::SeriesReport::from_series("payload", 300.0, &out);
+        let series = |payload: Vec<u8>| {
+            let mut cfg = TrialConfig::new(99);
+            cfg.payload = payload;
+            run_campaign(
+                99,
+                2,
+                "payload",
+                300.0,
+                &CampaignConfig::default(),
+                |seed| run_trial(&cfg.with_seed(seed)),
+            )
+            .report
+        };
+        let row = series(vec![0xAB; 300]);
         assert_eq!(row.trials, 2);
         assert_eq!(row.succeeded, 0);
-        assert_eq!(row.panicked_trials, 2);
-        // A well-formed series on the same rig still yields every outcome.
-        let ok = run_trials_parallel(&TrialConfig::new(99), 2);
-        assert_eq!(ok.completed(), 2);
-        assert_eq!(ok.panicked, 0);
+        assert!(row.raw.is_empty(), "panicked trials contribute no attempts");
+        assert_eq!(
+            row.panicked_trials, 2,
+            "every panicked trial is accounted for"
+        );
+        // A well-formed series on the same rig completes every trial.
+        let ok = series(canonical_write_payload());
+        assert_eq!(ok.trials, 2);
+        assert_eq!(ok.panicked_trials, 0);
     }
 }

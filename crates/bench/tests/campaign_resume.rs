@@ -16,14 +16,14 @@
 
 use std::path::{Path, PathBuf};
 
-use bench::campaign::{run_campaign, CampaignConfig};
+use bench::campaign::{chunk_size_for, run_campaign, CampaignConfig};
 use bench::report::rows_to_json;
-use bench::TrialConfig;
+use bench::{run_trial, TrialConfig, TrialOutcome};
 
 const TRIALS: u64 = 12;
-const CHUNK: u64 = 2;
 const SEED: u64 = 9_100;
-/// Chunks merged before the simulated kill (of `TRIALS / CHUNK` total).
+/// Chunks merged before the simulated kill (of
+/// `TRIALS / chunk_size_for(TRIALS)` total).
 const KILL_AFTER: u64 = 2;
 
 /// Replaces every wall-clock-defined `"<field>":<value>` with `0`,
@@ -65,7 +65,6 @@ fn neutralize(raw: &str) -> String {
 
 fn config(checkpoint: Option<PathBuf>, max_chunks: Option<u64>) -> CampaignConfig {
     CampaignConfig {
-        chunk_size: CHUNK,
         checkpoint,
         // Checkpoint every merged chunk so the kill point always has a
         // line to resume from regardless of where `max_chunks` lands.
@@ -74,10 +73,20 @@ fn config(checkpoint: Option<PathBuf>, max_chunks: Option<u64>) -> CampaignConfi
     }
 }
 
+fn trial(seed: u64) -> TrialOutcome {
+    run_trial(&TrialConfig::new(seed))
+}
+
 /// One uninterrupted campaign: the reference bytes.
 fn uninterrupted() -> String {
-    let base = TrialConfig::new(SEED);
-    let run = run_campaign(&base, TRIALS, "hop_interval", 36.0, &config(None, None));
+    let run = run_campaign(
+        SEED,
+        TRIALS,
+        "hop_interval",
+        36.0,
+        &config(None, None),
+        trial,
+    );
     assert!(run.finished, "uninterrupted campaign must finish");
     assert_eq!(run.resumed_at_chunk, None);
     neutralize(&rows_to_json(&[run.report]))
@@ -86,24 +95,26 @@ fn uninterrupted() -> String {
 /// Kill after `KILL_AFTER` chunks, then resume from the sidecar.
 fn interrupted_then_resumed(dir: &Path) -> String {
     let sidecar = dir.join("exp1_hop_interval_36.jsonl");
-    let base = TrialConfig::new(SEED);
+    assert!(KILL_AFTER < TRIALS.div_ceil(chunk_size_for(TRIALS)));
 
     let first = run_campaign(
-        &base,
+        SEED,
         TRIALS,
         "hop_interval",
         36.0,
         &config(Some(sidecar.clone()), Some(KILL_AFTER)),
+        trial,
     );
     assert!(!first.finished, "the kill must land mid-campaign");
     assert!(sidecar.is_file(), "sidecar must survive the kill");
 
     let second = run_campaign(
-        &base,
+        SEED,
         TRIALS,
         "hop_interval",
         36.0,
         &config(Some(sidecar), None),
+        trial,
     );
     assert!(second.finished, "resume must complete the campaign");
     assert_eq!(

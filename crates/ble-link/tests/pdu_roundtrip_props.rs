@@ -157,6 +157,57 @@ fn any_advertising_pdu() -> impl Strategy<Value = AdvertisingPdu> {
     ]
 }
 
+/// Hostile over-the-air bytes: raw soup, plus frames whose length byte
+/// matches the rest. Soup alone almost never passes the length check, so
+/// the parsers' field decoding would go unexercised; the framed lengths
+/// favour the sizes of real advertising PDUs (12 for SCAN_REQ, 34 for
+/// CONNECT_IND) and reach the 255-byte maximum.
+fn hostile_frame() -> impl Strategy<Value = Vec<u8>> {
+    let framed =
+        (any::<u8>(), 0u8..4, vec(any::<u8>(), 256..257)).prop_map(|(header, shape, mut body)| {
+            let len = match shape {
+                0 => 12,
+                1 => 34,
+                2 => body[0] % 40,
+                _ => body[0],
+            };
+            body.truncate(usize::from(len));
+            let mut frame = vec![header, len];
+            frame.extend(body);
+            frame
+        });
+    prop_oneof![vec(any::<u8>(), 0..300), framed]
+}
+
+proptest! {
+    // 32 frames per case: with the shim's fixed case count, a single frame
+    // per case would reach CONNECT_IND's type-and-length only by luck.
+    #[test]
+    fn data_pdu_parse_never_panics_and_accepts_only_what_reencodes(
+        frames in vec(hostile_frame(), 32..33),
+    ) {
+        for bytes in &frames {
+            if let Ok(pdu) = DataPdu::from_bytes(bytes) {
+                let again = DataPdu::from_bytes(&pdu.to_bytes()).expect("re-encoding must parse");
+                prop_assert_eq!(again, pdu);
+            }
+        }
+    }
+
+    #[test]
+    fn advertising_pdu_parse_never_panics_and_accepts_only_what_reencodes(
+        frames in vec(hostile_frame(), 32..33),
+    ) {
+        for bytes in &frames {
+            if let Ok(adv) = AdvertisingPdu::from_bytes(bytes) {
+                let again =
+                    AdvertisingPdu::from_bytes(&adv.to_bytes()).expect("re-encoding must parse");
+                prop_assert_eq!(again, adv);
+            }
+        }
+    }
+}
+
 proptest! {
     #[test]
     fn data_pdu_roundtrips(

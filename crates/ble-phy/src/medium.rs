@@ -1262,10 +1262,6 @@ impl SimInner {
         TimerHandle(self.queue.schedule_at(at, SimEvent::Timer { node, key }))
     }
 
-    pub(crate) fn cancel_timer(&mut self, handle: TimerHandle) {
-        self.queue.cancel(handle.0);
-    }
-
     /// Drops transmissions retained past `TX_RETENTION` ([`OnAir::gc`]).
     fn gc(&mut self) {
         let now = self.now();

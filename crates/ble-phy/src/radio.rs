@@ -192,7 +192,7 @@ impl NodeConfig {
     }
 }
 
-/// Handle to a pending timer, usable for cancellation.
+/// Handle naming a scheduled timer (its event-queue id).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct TimerHandle(pub(crate) simkit::EventId);
 
@@ -309,12 +309,6 @@ impl<'a> NodeCtx<'a> {
     /// Intended for tests and for omniscient instrumentation.
     pub fn set_timer_at(&mut self, at: Instant, key: TimerKey) -> TimerHandle {
         self.sim.set_timer_at(self.node, at, key)
-    }
-
-    /// Cancels a pending timer. Cancelling one that already fired is a
-    /// no-op.
-    pub fn cancel_timer(&mut self, handle: TimerHandle) {
-        self.sim.cancel_timer(handle);
     }
 
     /// Emits a typed telemetry event attributed to this node, timestamped

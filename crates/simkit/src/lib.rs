@@ -1,7 +1,7 @@
 //! Discrete-event simulation kernel used by the InjectaBLE reproduction.
 //!
 //! This crate is protocol-agnostic: it provides nanosecond-resolution virtual
-//! time ([`Instant`], [`Duration`]), a cancellable min-heap event queue
+//! time ([`Instant`], [`Duration`]), a min-heap event queue
 //! ([`EventQueue`]), drifting sleep-clock models ([`DriftClock`]) and
 //! deterministic randomness plumbing ([`SimRng`]).
 //!

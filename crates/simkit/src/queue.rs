@@ -1,14 +1,12 @@
-//! Cancellable discrete-event queue.
+//! Discrete-event queue.
 
 use std::cmp::Ordering;
-#[allow(clippy::disallowed_types)]
-// xtask-allow: R7 — membership-only tombstone set behind the deterministic IdHasher below; iteration order is never observed
-use std::collections::{BinaryHeap, HashSet};
-use std::hash::{BuildHasherDefault, Hasher};
+use std::collections::BinaryHeap;
 
 use crate::time::Instant;
 
-/// Identifier of a scheduled event, usable to cancel it before it fires.
+/// Identifier of a scheduled event: its place among events due at the same
+/// instant.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct EventId(u64);
 
@@ -19,34 +17,6 @@ impl EventId {
         EventId(self.0 + n)
     }
 }
-
-/// Identity hasher for [`EventId`] tombstones. Ids are already unique
-/// sequence numbers, and the tombstone lookup sits on the hot `pop` path —
-/// SipHash would cost more than the heap operation it guards.
-#[derive(Default)]
-struct IdHasher(u64);
-
-impl Hasher for IdHasher {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        // Only reached if a caller hashes something other than the u64 id;
-        // fold bytes so the hasher still works, if slowly.
-        for &b in bytes {
-            self.0 = self.0.rotate_left(8) ^ u64::from(b);
-        }
-    }
-
-    fn write_u64(&mut self, n: u64) {
-        self.0 = n;
-    }
-}
-
-#[allow(clippy::disallowed_types)]
-// xtask-allow: R7 — tombstones are only inserted/probed/removed by unique EventId; nothing ever iterates the set
-type IdTombstones = HashSet<EventId, BuildHasherDefault<IdHasher>>;
 
 struct Entry<E> {
     at: Instant,
@@ -75,8 +45,7 @@ impl<E> Ord for Entry<E> {
     }
 }
 
-/// A min-heap of timestamped events with stable FIFO ordering for ties and
-/// O(log n) cancellation via tombstones.
+/// A min-heap of timestamped events with stable FIFO ordering for ties.
 ///
 /// Events pop in `(time, id)` key order, and ids are handed out in
 /// scheduling order. [`EventQueue::reserve`] takes a block of ids up front
@@ -94,16 +63,15 @@ impl<E> Ord for Entry<E> {
 /// use simkit::{Duration, EventQueue};
 ///
 /// let mut q = EventQueue::new();
-/// let a = q.schedule_after(Duration::from_micros(10), 'a');
-/// let _b = q.schedule_after(Duration::from_micros(5), 'b');
-/// q.cancel(a);
+/// q.schedule_after(Duration::from_micros(10), 'a');
+/// q.schedule_after(Duration::from_micros(5), 'b');
+/// q.schedule_after(Duration::from_micros(5), 'c');
 /// let fired: Vec<char> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
-/// assert_eq!(fired, vec!['b']);
+/// assert_eq!(fired, vec!['b', 'c', 'a']);
 /// ```
 #[derive(Debug)]
 pub struct EventQueue<E> {
     heap: BinaryHeap<Entry<E>>,
-    cancelled: IdTombstones,
     next_id: u64,
     now: Instant,
     /// Key of the most recently popped event (`None` before the first pop).
@@ -130,7 +98,6 @@ impl<E> EventQueue<E> {
     pub fn new() -> Self {
         EventQueue {
             heap: BinaryHeap::new(),
-            cancelled: IdTombstones::default(),
             next_id: 0,
             now: Instant::ZERO,
             last: None,
@@ -198,45 +165,19 @@ impl<E> EventQueue<E> {
         self.schedule_at(self.now + delay, event)
     }
 
-    /// Cancels a previously scheduled event. Cancelling an event that has
-    /// already fired (or was already cancelled) is a harmless no-op.
-    ///
-    /// Only an id still in the heap gets a tombstone, so every tombstone is
-    /// freed when its entry pops and [`EventQueue::len`] stays exact. The
-    /// membership check is a linear scan of the heap: cancellation is rare,
-    /// and it keeps `pop` free of any extra bookkeeping.
-    pub fn cancel(&mut self, id: EventId) {
-        if self.heap.iter().any(|entry| entry.id == id) {
-            self.cancelled.insert(id);
-        }
-    }
-
     /// Removes and returns the earliest pending event, advancing `now` to its
-    /// timestamp. Cancelled events are skipped silently.
+    /// timestamp.
     pub fn pop(&mut self) -> Option<(Instant, E)> {
-        while let Some(entry) = self.heap.pop() {
-            if !self.cancelled.is_empty() && self.cancelled.remove(&entry.id) {
-                continue;
-            }
-            debug_assert!(entry.at >= self.now, "event queue time went backwards");
-            self.now = entry.at;
-            self.last = Some((entry.at, entry.id));
-            return Some((entry.at, entry.event));
-        }
-        None
+        let entry = self.heap.pop()?;
+        debug_assert!(entry.at >= self.now, "event queue time went backwards");
+        self.now = entry.at;
+        self.last = Some((entry.at, entry.id));
+        Some((entry.at, entry.event))
     }
 
-    /// The timestamp of the earliest live pending event, if any.
-    pub fn peek_time(&mut self) -> Option<Instant> {
-        while let Some(entry) = self.heap.peek() {
-            if self.cancelled.contains(&entry.id) {
-                let entry = self.heap.pop().expect("peeked entry exists");
-                self.cancelled.remove(&entry.id);
-                continue;
-            }
-            return Some(entry.at);
-        }
-        None
+    /// The timestamp of the earliest pending event, if any.
+    pub fn peek_time(&self) -> Option<Instant> {
+        self.heap.peek().map(|entry| entry.at)
     }
 
     /// Advances `now` to `t` without firing anything. Intended for "run
@@ -245,7 +186,7 @@ impl<E> EventQueue<E> {
     ///
     /// # Panics
     ///
-    /// Panics if a live event is pending earlier than `t`.
+    /// Panics if an event is pending earlier than `t`.
     pub fn advance_to(&mut self, t: Instant) {
         if t <= self.now {
             return;
@@ -259,13 +200,12 @@ impl<E> EventQueue<E> {
         self.now = t;
     }
 
-    /// Number of live pending events. Every tombstone names an entry still
-    /// in the heap, so the difference cannot underflow.
+    /// Number of pending events.
     pub fn len(&self) -> usize {
-        self.heap.len() - self.cancelled.len()
+        self.heap.len()
     }
 
-    /// Whether no live events remain.
+    /// Whether no events remain.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
@@ -274,7 +214,6 @@ impl<E> EventQueue<E> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Duration;
 
     #[test]
     fn pops_in_time_order() {
@@ -318,64 +257,6 @@ mod tests {
     }
 
     #[test]
-    fn cancellation_skips_events() {
-        let mut q = EventQueue::new();
-        let a = q.schedule_after(Duration::from_micros(1), "a");
-        q.schedule_after(Duration::from_micros(2), "b");
-        q.cancel(a);
-        assert_eq!(q.len(), 1);
-        assert_eq!(q.pop().map(|(_, e)| e), Some("b"));
-        assert!(q.pop().is_none());
-    }
-
-    #[test]
-    fn cancel_after_fire_is_noop() {
-        let mut q = EventQueue::new();
-        let a = q.schedule_after(Duration::ZERO, "a");
-        assert!(q.pop().is_some());
-        q.cancel(a);
-        assert!(q.is_empty());
-        q.schedule_after(Duration::ZERO, "b");
-        assert_eq!(q.len(), 1);
-        assert!(
-            !q.is_empty(),
-            "a pending event is not hidden by a stale cancel"
-        );
-        assert_eq!(q.pop().map(|(_, e)| e), Some("b"));
-    }
-
-    #[test]
-    fn double_cancel_counts_once() {
-        let mut q = EventQueue::new();
-        let a = q.schedule_after(Duration::from_micros(1), "a");
-        q.schedule_after(Duration::from_micros(2), "b");
-        q.cancel(a);
-        q.cancel(a);
-        assert_eq!(q.len(), 1);
-        assert_eq!(q.pop().map(|(_, e)| e), Some("b"));
-        // The tombstone was freed with its entry: a later cancel of the
-        // same id has nothing to name.
-        q.cancel(a);
-        assert_eq!(q.len(), 0);
-        assert!(q.pop().is_none());
-    }
-
-    #[test]
-    fn len_of_an_emptied_queue_is_zero() {
-        let mut q: EventQueue<()> = EventQueue::new();
-        let a = q.schedule_after(Duration::ZERO, ());
-        let b = q.schedule_after(Duration::ZERO, ());
-        q.cancel(a);
-        assert!(q.pop().is_some());
-        assert!(q.pop().is_none());
-        // Both ids are gone from the heap; neither cancel may tombstone.
-        q.cancel(a);
-        q.cancel(b);
-        assert_eq!(q.len(), 0);
-        assert!(q.is_empty());
-    }
-
-    #[test]
     fn reserved_ids_sort_where_they_were_reserved() {
         let mut q = EventQueue::new();
         let t = Instant::from_micros(5);
@@ -406,15 +287,5 @@ mod tests {
         // Once `now` moves past the last pop, every key at `now` is ahead.
         q.advance_to(Instant::from_micros(9));
         assert!(q.is_ahead(Instant::from_micros(9), block));
-    }
-
-    #[test]
-    fn peek_time_skips_cancelled() {
-        let mut q = EventQueue::new();
-        let a = q.schedule_at(Instant::from_micros(1), "a");
-        q.schedule_at(Instant::from_micros(7), "b");
-        q.cancel(a);
-        assert_eq!(q.peek_time(), Some(Instant::from_micros(7)));
-        assert!(!q.is_empty());
     }
 }

@@ -3,12 +3,13 @@
 //! The lint rules (R7–R9) catch nondeterminism *sources* statically; this
 //! task proves the *outcome*: it builds the workspace in release mode, runs
 //! every experiment binary twice at its fixed default seed, and — for the
-//! binaries that fan trials out over [`run_trials_parallel`] — additionally
-//! at 1 and 4 worker threads via the `BENCH_THREADS` override. Two sweeps
-//! also run a fifth leg through the streaming `--campaign` runner, which
-//! must reproduce the in-memory artefact byte-for-byte. Any byte
-//! divergence in the normalised stdout or `--json` artefact fails the task
-//! with a diff excerpt naming the first divergent line.
+//! binaries whose sweep points run through the `bench::run_point` trial
+//! engine — additionally at 1 and 4 worker threads via the
+//! `BENCH_THREADS` override. Four sweeps also run a fifth leg with
+//! `--campaign` checkpointing on, which must reproduce the plain run's
+//! artefact byte-for-byte. Any byte divergence in the normalised stdout or
+//! `--json` artefact fails the task with a diff excerpt naming the first
+//! divergent line.
 //!
 //! Three artefact fields are *defined* as wall-clock measurements and are
 //! neutralised before comparison (`trials_per_sec`, `peak_rss_kb`,
@@ -28,8 +29,8 @@ struct BinSpec {
     takes_trials: bool,
     /// Whether the binary writes a `--json` artefact worth comparing.
     json: bool,
-    /// Whether trials fan out over `run_trials_parallel` (gets the extra
-    /// 1-vs-N-thread runs).
+    /// Whether trials fan out over the `run_point` engine's worker threads
+    /// (gets the extra 1-vs-N-thread runs).
     parallel: bool,
 }
 
@@ -106,13 +107,13 @@ const BINARIES: &[BinSpec] = &[
         name: "exp5_multi_conn",
         takes_trials: true,
         json: true,
-        parallel: false,
+        parallel: true,
     },
     BinSpec {
         name: "exp6_dense_band",
         takes_trials: true,
         json: true,
-        parallel: false,
+        parallel: true,
     },
 ];
 
@@ -121,16 +122,20 @@ const BINARIES: &[BinSpec] = &[
 /// nondeterminism source without the full sweep's wall time.
 const FAST_SUBSET: &[&str] = &["exp1_hop_interval", "ablation_phy2m", "scenarios"];
 
-/// Binaries that additionally run through the streaming campaign path
-/// (`--campaign` with a fresh checkpoint directory). The campaign run must
-/// match the in-memory run `a` byte-for-byte — the two aggregation paths
-/// are different code folding the same trials, so any drift between them
-/// is a real accounting bug, not wall-clock noise.
-const CAMPAIGN_BINS: &[&str] = &["exp1_hop_interval", "exp2_payload_size"];
+/// Binaries that additionally run with checkpointing on (`--campaign`
+/// with a fresh checkpoint directory). The run must match run `a`
+/// byte-for-byte: writing sidecars, including exp6's band sums, must
+/// never change the fold.
+const CAMPAIGN_BINS: &[&str] = &[
+    "exp1_hop_interval",
+    "exp2_payload_size",
+    "exp5_multi_conn",
+    "exp6_dense_band",
+];
 
 /// Labels for the runs of one binary. Runs `a`/`b` share an environment
 /// (same-seed double run); `t1`/`t4` pin the worker-thread count; `camp`
-/// re-runs the sweep through the streaming campaign runner.
+/// re-runs the sweep with checkpointing on.
 #[derive(Clone, Copy, PartialEq, Eq)]
 enum RunKind {
     A,
@@ -308,9 +313,9 @@ fn run_once(
         cmd.arg("--json").arg(&json_path);
     }
     if kind == RunKind::Campaign {
-        // A fresh checkpoint directory per run: the leg proves the
-        // streaming aggregation path, not resume (the CI smoke job and
-        // the bench integration tests cover resume).
+        // A fresh checkpoint directory per run: the leg proves that
+        // checkpointing leaves the fold alone, not resume (the CI smoke
+        // job and the bench integration tests cover resume).
         let cp_dir = out_dir.join(format!("{}_campaign_cp", spec.name));
         let _ = std::fs::remove_dir_all(&cp_dir);
         cmd.arg("--campaign").arg("--checkpoint-dir").arg(&cp_dir);

@@ -7,9 +7,9 @@
 //!   network. `lint --waivers` audits every `// xtask-allow` comment
 //!   instead, failing on waivers without a `— reason` suffix.
 //! * `determinism` — a runtime divergence oracle: builds release and runs
-//!   every experiment binary twice at a fixed seed (and the
-//!   `run_trials_parallel` binaries at 1 vs. N worker threads), hashing the
-//!   artefacts and failing on any byte divergence.
+//!   every experiment binary twice at a fixed seed (and the binaries
+//!   driven by the `run_point` trial engine at 1 vs. N worker threads),
+//!   hashing the artefacts and failing on any byte divergence.
 //!
 //! Exit status: 0 when clean, 1 on any violation/divergence (or I/O
 //! failure), so CI can gate on either task directly.
