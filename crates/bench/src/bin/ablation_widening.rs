@@ -27,7 +27,8 @@ struct Row {
     outcomes: Vec<TrialOutcome>,
 }
 
-fn run_point(scale: f64, trials: u64, base: u64) -> Row {
+fn run_point(cfg: &RigConfig, trials: u64, base: u64) -> Row {
+    let scale = cfg.widening_scale;
     let mut attempts = Vec::new();
     let mut victim_drops = 0u32;
     let mut outcomes = Vec::new();
@@ -36,25 +37,22 @@ fn run_point(scale: f64, trials: u64, base: u64) -> Row {
     // work is paid once instead of per trial.
     let payload = bench::trial::canonical_write_payload();
     for i in 0..trials {
-        let cfg = RigConfig {
-            widening_scale: scale,
-            ..RigConfig::default()
-        };
         let seed = base + i * 7 + (scale * 1000.0) as u64;
-        let mut rig = ExperimentRig::new(seed, &cfg);
-        if !rig.wait_synchronised(Duration::from_secs(30)) {
-            continue;
-        }
-        rig.attacker_mut().arm(Mission::InjectRaw {
-            llid: ble_link::Llid::StartOrComplete,
-            payload: payload.clone(),
-            wanted_successes: 1,
-        });
-        let deadline = rig.scenario.now() + Duration::from_secs(60);
-        while rig.scenario.now() < deadline {
-            rig.scenario.run_for(Duration::from_millis(200));
-            if rig.attacker().stats().successes() >= 1 {
-                break;
+        let mut rig = ExperimentRig::new(seed, cfg);
+        // A rig that never synchronises is a failed trial, not a skipped
+        // one: it stays in the row's denominator with no attempts.
+        if rig.wait_synchronised(Duration::from_secs(30)) {
+            rig.attacker_mut().arm(Mission::InjectRaw {
+                llid: ble_link::Llid::StartOrComplete,
+                payload: payload.clone(),
+                wanted_successes: 1,
+            });
+            let deadline = rig.scenario.now() + Duration::from_secs(60);
+            while rig.scenario.now() < deadline {
+                rig.scenario.run_for(Duration::from_millis(200));
+                if rig.attacker().stats().successes() >= 1 {
+                    break;
+                }
             }
         }
         let first_success = rig.attacker().stats().attempts_to_first_success();
@@ -95,7 +93,11 @@ fn main() {
     let mut series = Vec::new();
     for scale in [1.0f64, 0.75, 0.5, 0.25, 0.1] {
         let row_start = bench::wallclock::Stopwatch::start();
-        let row = run_point(scale, trials, base);
+        let cfg = RigConfig {
+            widening_scale: scale,
+            ..RigConfig::default()
+        };
+        let row = run_point(&cfg, trials, base);
         series.push(
             SeriesReport::from_outcomes("widening_scale", scale, &row.outcomes)
                 .with_throughput(row_start.elapsed_s()),
@@ -117,5 +119,23 @@ fn main() {
     println!("predicted reliability cost of the countermeasure.");
     if let Some(path) = cli.json.as_deref() {
         bench::report::write_artefact(path, &series);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn an_unsynchronised_trial_stays_in_the_row() {
+        // 10 km away the attacker never hears the CONNECT_IND.
+        let far = RigConfig {
+            attacker_distance: 10_000.0,
+            ..RigConfig::default()
+        };
+        let row = run_point(&far, 2, 9_000);
+        assert_eq!(row.succeeded, 0);
+        let report = SeriesReport::from_outcomes("widening_scale", 1.0, &row.outcomes);
+        assert_eq!(report.trials, 2, "both trials count in the denominator");
     }
 }

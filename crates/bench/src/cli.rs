@@ -3,7 +3,8 @@
 //! Every `exp*`/`ablation*` binary takes the same small surface: an
 //! optional positional trial count, `--seed <n>` to shift the seed base,
 //! and `--json <path>` to write the `SeriesReport` rows there instead of
-//! the default `target/experiments/<name>.json`.
+//! the default `target/experiments/<name>.json`. An unknown flag or a
+//! second positional argument prints usage and exits with status 2.
 //!
 //! Every sweep point runs through the [`crate::campaign`] engine; the
 //! campaign flags only add checkpointing: `--campaign` writes a JSONL
@@ -34,16 +35,34 @@ pub struct Cli {
     pub campaign_max_chunks: Option<u64>,
 }
 
+/// The flag summary printed when the command line cannot be parsed.
+const USAGE: &str = "[TRIALS] [--seed N] [--json PATH] [--campaign] \
+                     [--checkpoint-dir DIR] [--campaign-max-chunks N]";
+
 impl Cli {
-    /// Parses `std::env::args()` with the binary's default trial count.
+    /// Parses `std::env::args()` with the binary's default trial count. An
+    /// unknown flag or a second positional argument prints usage on stderr
+    /// and exits with status 2.
     pub fn parse(default_trials: u64) -> Cli {
-        Self::from_args(std::env::args().skip(1), default_trials)
+        let mut args = std::env::args();
+        let bin = args.next().unwrap_or_default();
+        match Self::from_args(args, default_trials) {
+            Ok(cli) => cli,
+            Err(msg) => {
+                eprintln!("error: {msg}\nusage: {bin} {USAGE}");
+                std::process::exit(2);
+            }
+        }
     }
 
-    /// Parses an explicit argument list (first argument onwards). Unknown
-    /// or malformed arguments are reported on stderr and skipped, keeping
-    /// the historical "anything unparseable means the default" behaviour.
-    pub fn from_args(args: impl IntoIterator<Item = String>, default_trials: u64) -> Cli {
+    /// Parses an explicit argument list (first argument onwards). An
+    /// unknown `--flag` or a second positional argument is an error. A
+    /// malformed trial count or a missing flag value is reported on stderr
+    /// and skipped, keeping the default.
+    pub fn from_args(
+        args: impl IntoIterator<Item = String>,
+        default_trials: u64,
+    ) -> Result<Cli, String> {
         let mut cli = Cli {
             trials: default_trials,
             seed: None,
@@ -75,25 +94,25 @@ impl Cli {
                         "warning: --campaign-max-chunks expects a positive integer; ignored"
                     ),
                 },
+                flag if flag.starts_with("--") => {
+                    return Err(format!("unrecognised flag {flag:?}"));
+                }
+                other if positional_taken => {
+                    return Err(format!("unexpected second positional argument {other:?}"));
+                }
                 other => {
-                    if !positional_taken {
-                        positional_taken = true;
-                        match other.parse() {
-                            Ok(v) => cli.trials = v,
-                            Err(_) => {
-                                eprintln!(
-                                    "warning: expected a trial count, got {other:?}; \
-                                     using default {default_trials}"
-                                );
-                            }
-                        }
-                    } else {
-                        eprintln!("warning: unrecognised argument {other:?}; ignored");
+                    positional_taken = true;
+                    match other.parse() {
+                        Ok(v) => cli.trials = v,
+                        Err(_) => eprintln!(
+                            "warning: expected a trial count, got {other:?}; \
+                             using default {default_trials}"
+                        ),
                     }
                 }
             }
         }
-        cli
+        Ok(cli)
     }
 
     /// The seed base for the sweep: the `--seed` override, or the binary's
@@ -107,8 +126,12 @@ impl Cli {
 mod tests {
     use super::*;
 
-    fn parse(args: &[&str]) -> Cli {
+    fn try_parse(args: &[&str]) -> Result<Cli, String> {
         Cli::from_args(args.iter().map(|s| s.to_string()), 25)
+    }
+
+    fn parse(args: &[&str]) -> Cli {
+        try_parse(args).expect("valid command line")
     }
 
     #[test]
@@ -171,5 +194,21 @@ mod tests {
         // Zero is not a usable chunk budget.
         let cli = parse(&["--campaign-max-chunks", "0"]);
         assert_eq!(cli.campaign_max_chunks, None);
+    }
+
+    #[test]
+    fn unknown_flag_is_an_error_not_a_trial_count() {
+        // Were the unknown flag to take the positional slot, `3` would be
+        // dropped and the run would silently use the default 25 trials.
+        let err = try_parse(&["--chunk-size", "2", "3", "--json", "x.json"]).unwrap_err();
+        assert!(err.contains("--chunk-size"), "{err}");
+        assert!(try_parse(&["3", "--bogus"]).is_err());
+    }
+
+    #[test]
+    fn second_positional_is_an_error() {
+        let err = try_parse(&["3", "4"]).unwrap_err();
+        assert!(err.contains("\"4\""), "{err}");
+        assert!(try_parse(&["lots", "4"]).is_err());
     }
 }

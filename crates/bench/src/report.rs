@@ -566,21 +566,22 @@ mod tests {
     fn json_bytes_do_not_depend_on_metric_insertion_order() {
         // Determinism guarantee: two rows built from outcomes whose metric
         // registries were populated in different orders serialise to the
-        // same bytes — the registry is name-sorted and the row itself has
-        // no map-backed field.
+        // same bytes — the registry is typed and the row itself has no
+        // map-backed field.
+        use crate::telemetry::testing::registry_of;
         use crate::telemetry::TrialMetrics;
-        use ble_telemetry::MetricsRegistry;
+        use ble_telemetry::TelemetryEvent;
         let build = |reverse: bool| {
-            let mut reg = MetricsRegistry::new();
+            let mut events = vec![TelemetryEvent::TxEnd; 8];
+            events.push(TelemetryEvent::InjectionAttempt {
+                channel: 0,
+                lead: simkit::Duration::from_micros(36),
+            });
+            events.push(TelemetryEvent::AnchorPrediction { error_us: 4.0 });
             if reverse {
-                reg.observe_us("attack.lead_us", 36.0);
-                reg.observe_us("attack.anchor_error_us", 4.0);
-                reg.add("telemetry.events", 10);
-            } else {
-                reg.add("telemetry.events", 10);
-                reg.observe_us("attack.anchor_error_us", 4.0);
-                reg.observe_us("attack.lead_us", 36.0);
+                events.reverse();
             }
+            let reg = registry_of(&events);
             let mut o = outcomes(&[2, 5]);
             for out in o.iter_mut() {
                 out.metrics = Some(TrialMetrics::from_registry(&reg, 1.0, 1.0));
@@ -608,14 +609,16 @@ mod tests {
 
     #[test]
     fn phase_profile_merges_across_trials_into_json() {
+        use crate::telemetry::testing::{registry_of, span_exit};
         use crate::telemetry::TrialMetrics;
-        use ble_telemetry::MetricsRegistry;
-        let mut reg = MetricsRegistry::new();
-        reg.add("span.trial_sync.count", 1);
-        reg.add("span.trial_sync.sim_ns", 2_000_000);
-        reg.add("span.trial_sync.self_sim_ns", 2_000_000);
-        reg.add("span.trial_sync.wall_ns", 777);
-        reg.add("span.trial_sync.self_wall_ns", 777);
+        use ble_telemetry::SpanKind;
+        let reg = registry_of(&[span_exit(
+            SpanKind::TrialSync,
+            2_000_000,
+            2_000_000,
+            777,
+            777,
+        )]);
         let mut o = outcomes(&[1, 2]);
         for out in o.iter_mut() {
             out.metrics = Some(TrialMetrics::from_registry(&reg, 1.0, 1.0));

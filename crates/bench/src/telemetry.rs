@@ -1,7 +1,7 @@
 //! Per-trial telemetry capture: sink selection, phase timing and the
 //! metric block that rides along in experiment report rows.
 
-use ble_telemetry::{HistSummary, HistogramUs, MetricsRegistry, SpanKind};
+use ble_telemetry::{Counter, HistSummary, Histogram, HistogramUs, MetricsRegistry, SpanKind};
 
 pub use ble_scenario::TelemetryMode;
 
@@ -64,24 +64,20 @@ pub struct PhaseProfile {
     pub self_wall_ns: u64,
 }
 
-/// Extracts the per-phase profile from a registry's `span.*` counters, in
+/// Extracts the per-phase profile from a registry's span totals, in
 /// [`SpanKind::ALL`] order, skipping kinds that never closed a span.
 pub fn phase_profile_from_registry(reg: &MetricsRegistry) -> Vec<PhaseProfile> {
     SpanKind::ALL
         .into_iter()
         .filter_map(|kind| {
-            let names = kind.metric_names();
-            let count = reg.counter(names.count);
-            if count == 0 {
-                return None;
-            }
-            Some(PhaseProfile {
+            let t = reg.span(kind);
+            (t.count != 0).then_some(PhaseProfile {
                 phase: kind.as_str(),
-                count,
-                sim_ns: reg.counter(names.sim_ns),
-                self_sim_ns: reg.counter(names.self_sim_ns),
-                wall_ns: reg.counter(names.wall_ns),
-                self_wall_ns: reg.counter(names.self_wall_ns),
+                count: t.count,
+                sim_ns: t.sim_ns,
+                self_sim_ns: t.self_sim_ns,
+                wall_ns: t.wall_ns,
+                self_wall_ns: t.self_wall_ns,
             })
         })
         .collect()
@@ -137,12 +133,12 @@ impl TrialMetrics {
     /// Builds the per-trial block from a registry snapshot and the two
     /// experiment-phase wall-clock timings.
     pub fn from_registry(reg: &MetricsRegistry, sync_wall_s: f64, attack_wall_s: f64) -> Self {
-        let events_total = reg.counter("telemetry.events");
+        let events_total = reg[Counter::TelemetryEvents];
         let wall = (sync_wall_s + attack_wall_s).max(1e-9);
         TrialMetrics {
-            anchor_error: reg.histogram("attack.anchor_error_us").cloned(),
-            lead_time: reg.histogram("attack.lead_us").cloned(),
-            ifs_delta: reg.histogram("attack.ifs_delta_us").cloned(),
+            anchor_error: reg.histogram(Histogram::AnchorError).cloned(),
+            lead_time: reg.histogram(Histogram::Lead).cloned(),
+            ifs_delta: reg.histogram(Histogram::IfsDelta).cloned(),
             events_total,
             events_per_sec: events_total as f64 / wall,
             sync_wall_s,
@@ -168,16 +164,69 @@ pub fn merge_histogram(acc: &mut Option<HistogramUs>, h: Option<&HistogramUs>) {
     }
 }
 
+/// Test helpers that build a registry the way a trial does: by emitting
+/// records into a [`ble_telemetry::MetricsSink`] and flushing it.
+#[cfg(test)]
+pub(crate) mod testing {
+    use ble_telemetry::{
+        MetricsRegistry, MetricsSink, SpanKind, TelemetryEvent, TelemetryRecord, TelemetrySink,
+    };
+    use simkit::Instant;
+
+    /// The registry a sink holds after seeing `events` and flushing.
+    pub(crate) fn registry_of(events: &[TelemetryEvent]) -> MetricsRegistry {
+        let mut sink = MetricsSink::new();
+        let reg = sink.handle();
+        for event in events {
+            sink.emit(&TelemetryRecord {
+                at: Instant::ZERO,
+                node: None,
+                event: event.clone(),
+            });
+        }
+        sink.flush();
+        let snapshot = reg.lock().clone();
+        snapshot
+    }
+
+    /// One closed span of `kind` with the given totals.
+    pub(crate) fn span_exit(
+        kind: SpanKind,
+        sim_ns: u64,
+        self_sim_ns: u64,
+        wall_ns: u64,
+        self_wall_ns: u64,
+    ) -> TelemetryEvent {
+        TelemetryEvent::SpanExit {
+            id: 1,
+            kind,
+            detail: 0,
+            sim_ns,
+            wall_ns,
+            self_sim_ns,
+            self_wall_ns,
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
+    use super::testing::{registry_of, span_exit};
     use super::*;
+    use ble_telemetry::TelemetryEvent;
+    use simkit::Duration;
 
     #[test]
     fn trial_metrics_from_registry() {
-        let mut reg = MetricsRegistry::new();
-        reg.add("telemetry.events", 500);
-        reg.observe_us("attack.lead_us", 36.0);
-        reg.observe_us("attack.anchor_error_us", 4.0);
+        let mut events = vec![
+            TelemetryEvent::InjectionAttempt {
+                channel: 0,
+                lead: Duration::from_micros(36),
+            },
+            TelemetryEvent::AnchorPrediction { error_us: 4.0 },
+        ];
+        events.resize(500, TelemetryEvent::TxEnd);
+        let reg = registry_of(&events);
         let m = TrialMetrics::from_registry(&reg, 1.0, 1.0);
         assert_eq!(m.events_total, 500);
         assert!((m.events_per_sec - 250.0).abs() < 1e-9);
@@ -188,12 +237,7 @@ mod tests {
 
     #[test]
     fn phase_profile_skips_unclosed_kinds_and_merges_by_name() {
-        let mut reg = MetricsRegistry::new();
-        reg.add("span.trial_sync.count", 1);
-        reg.add("span.trial_sync.sim_ns", 1_000);
-        reg.add("span.trial_sync.self_sim_ns", 800);
-        reg.add("span.trial_sync.wall_ns", 50);
-        reg.add("span.trial_sync.self_wall_ns", 40);
+        let reg = registry_of(&[span_exit(SpanKind::TrialSync, 1_000, 800, 50, 40)]);
         let rows = phase_profile_from_registry(&reg);
         assert_eq!(rows.len(), 1);
         assert_eq!(rows[0].phase, "trial-sync");

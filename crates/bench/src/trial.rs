@@ -10,7 +10,7 @@ use ble_devices::Lightbulb;
 use ble_link::Llid;
 use ble_phy::Environment;
 use ble_scenario::{Scenario, ScenarioBuilder};
-use ble_telemetry::{SharedRegistry, SpanKind};
+use ble_telemetry::{Counter, SharedRegistry, SpanKind};
 use injectable::{Attacker, Mission};
 use simkit::Duration;
 
@@ -439,7 +439,7 @@ pub fn run_dense_trial(seed: u64, pairs: usize) -> DenseTrial {
     let totals = sc.delivery_totals().expect("tracker was enabled");
     let collisions = sc
         .metrics()
-        .map(|reg| reg.lock().counter("phy.collision"))
+        .map(|reg| reg.lock()[Counter::PhyCollision])
         .unwrap_or(0);
     DenseTrial {
         outcome: TrialOutcome {

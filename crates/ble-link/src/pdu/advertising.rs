@@ -33,7 +33,7 @@ pub enum AdvertisingPdu {
     AdvNonconnInd {
         /// The advertiser's address.
         advertiser: DeviceAddress,
-        /// Advertising data.
+        /// Advertising data, up to 31 bytes.
         data: Vec<u8>,
     },
     /// Scan request from a scanner to an advertiser.
@@ -47,7 +47,7 @@ pub enum AdvertisingPdu {
     ScanRsp {
         /// The advertiser's address.
         advertiser: DeviceAddress,
-        /// Scan response data.
+        /// Scan response data, up to 31 bytes.
         data: Vec<u8>,
     },
     /// Connection request — the packet the InjectaBLE sniffer hunts for,
@@ -71,6 +71,16 @@ const TYPE_ADV_NONCONN_IND: u8 = 0b0010;
 const TYPE_SCAN_REQ: u8 = 0b0011;
 const TYPE_SCAN_RSP: u8 = 0b0100;
 const TYPE_CONNECT_REQ: u8 = 0b0101;
+
+/// The data field that follows the advertiser address in ADV_IND,
+/// ADV_NONCONN_IND and SCAN_RSP: at most 31 bytes on the legacy PHY.
+fn adv_data(payload: &[u8]) -> Result<Vec<u8>, ParseError> {
+    let data = payload.get(6..).unwrap_or(&[]);
+    if data.len() > 31 {
+        return Err(ParseError::InvalidField("advertising data over 31 bytes"));
+    }
+    Ok(data.to_vec())
+}
 
 impl AdvertisingPdu {
     /// Serialises straight into an inline [`Pdu`] (2-byte header then
@@ -167,18 +177,14 @@ impl AdvertisingPdu {
             Ok(DeviceAddress::new(octets, AddressType::from_bit(kind_bit)))
         };
         match ty {
-            TYPE_ADV_IND | TYPE_ADV_NONCONN_IND => {
-                let advertiser = addr(0, tx_add)?;
-                let data = payload.get(6..).unwrap_or(&[]).to_vec();
-                if data.len() > 31 {
-                    return Err(ParseError::InvalidField("advertising data over 31 bytes"));
-                }
-                Ok(if ty == TYPE_ADV_IND {
-                    AdvertisingPdu::AdvInd { advertiser, data }
-                } else {
-                    AdvertisingPdu::AdvNonconnInd { advertiser, data }
-                })
-            }
+            TYPE_ADV_IND => Ok(AdvertisingPdu::AdvInd {
+                advertiser: addr(0, tx_add)?,
+                data: adv_data(payload)?,
+            }),
+            TYPE_ADV_NONCONN_IND => Ok(AdvertisingPdu::AdvNonconnInd {
+                advertiser: addr(0, tx_add)?,
+                data: adv_data(payload)?,
+            }),
             TYPE_SCAN_REQ => {
                 if payload.len() != 12 {
                     return Err(ParseError::LengthMismatch {
@@ -193,7 +199,7 @@ impl AdvertisingPdu {
             }
             TYPE_SCAN_RSP => Ok(AdvertisingPdu::ScanRsp {
                 advertiser: addr(0, tx_add)?,
-                data: payload.get(6..).unwrap_or(&[]).to_vec(),
+                data: adv_data(payload)?,
             }),
             TYPE_CONNECT_REQ => {
                 if payload.len() != 12 + ConnectionParams::ENCODED_LEN {
@@ -311,6 +317,21 @@ mod tests {
         let mut big = vec![0x00, 38];
         big.extend(vec![0u8; 38]);
         assert!(AdvertisingPdu::from_bytes(&big).is_err());
+    }
+
+    #[test]
+    fn oversized_data_is_rejected_for_every_data_bearing_type() {
+        // 6 address bytes + 40 data bytes, typed ADV_IND, ADV_NONCONN_IND
+        // and SCAN_RSP in turn: each is over the 31-byte data limit.
+        for ty in [TYPE_ADV_IND, TYPE_ADV_NONCONN_IND, TYPE_SCAN_RSP] {
+            let mut frame = vec![ty, 46];
+            frame.extend([0u8; 46]);
+            assert!(AdvertisingPdu::from_bytes(&frame).is_err(), "type {ty}");
+            // At exactly 31 data bytes the same frame parses.
+            frame[1] = 37;
+            frame.truncate(2 + 37);
+            assert!(AdvertisingPdu::from_bytes(&frame).is_ok(), "type {ty}");
+        }
     }
 
     #[test]

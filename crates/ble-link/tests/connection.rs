@@ -526,15 +526,14 @@ fn ll_control_procedures_are_span_profiled() {
     rig.sim.run_for(Duration::from_millis(300));
     assert!(!rig.master().ll.is_connected());
     rig.sim.flush_telemetry();
-    let reg = registry.lock();
-    let names = SpanKind::LlProcedure.metric_names();
+    let procedures = registry.lock().span(SpanKind::LlProcedure);
     assert!(
-        reg.counter(names.count) >= 2,
+        procedures.count >= 2,
         "connection update + terminate must both close an ll-procedure span, \
          got {}",
-        reg.counter(names.count)
+        procedures.count
     );
     // Control handling consumes no simulated time: the span prices the
     // handler's wall cost only.
-    assert_eq!(reg.counter(names.sim_ns), 0);
+    assert_eq!(procedures.sim_ns, 0);
 }

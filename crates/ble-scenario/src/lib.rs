@@ -269,12 +269,6 @@ impl ScenarioBuilder {
         self
     }
 
-    /// Overrides the victim node's label (defaults to the device kind's).
-    pub fn victim_label(mut self, label: &'static str) -> Self {
-        self.victim_label = Some(label);
-        self
-    }
-
     /// Connection hop interval (×1.25 ms).
     pub fn hop_interval(mut self, hop: u16) -> Self {
         self.hop_interval = hop;
@@ -322,12 +316,6 @@ impl ScenarioBuilder {
         self
     }
 
-    /// Removes the attacker from the scene.
-    pub fn no_attacker(mut self) -> Self {
-        self.with_attacker = false;
-        self
-    }
-
     /// Victim sleep-clock accuracy bound (ppm).
     pub fn victim_sca_ppm(mut self, ppm: f64) -> Self {
         self.victim_sca_ppm = ppm;
@@ -361,12 +349,6 @@ impl ScenarioBuilder {
             Position::new(100.0, -0.5),
             db,
         ));
-        self
-    }
-
-    /// Adds an arbitrary wall segment.
-    pub fn wall(mut self, wall: Wall) -> Self {
-        self.wall = Some(wall);
         self
     }
 

@@ -10,9 +10,10 @@
 //! - [`JsonlSink`] — one JSON object per line, for offline analysis and the
 //!   `timeline` renderer in the bench crate, written and read through
 //!   [`json`], the workspace's one JSON reader and string escaper;
-//! - [`MetricsSink`] — counters, gauges and fixed-bucket microsecond
-//!   histograms in a [`MetricsRegistry`] (injection lead time, anchor
-//!   prediction error, IFS deltas).
+//! - [`MetricsSink`] — a typed [`MetricsRegistry`]: one counter per
+//!   [`Counter`], fixed-bucket microsecond histograms keyed by
+//!   [`Histogram`] (injection lead time, anchor prediction error, IFS
+//!   deltas), [`SpanTotals`] per [`SpanKind`] and two gauges.
 //!
 //! Telemetry is **zero-cost when disabled**: emit sites take a closure, and
 //! the dispatcher ([`Telemetry`]) returns before building the event when no
@@ -43,7 +44,10 @@ pub mod span;
 pub use delivery::{DeliveryTotals, DeliveryTracker, PacketDelivery};
 pub use event::{AlertKind, FaultKind, LinkRole, LossReason, TelemetryEvent, Verdict};
 pub use jsonl::{parse_line, JsonlSink};
-pub use metrics::{HistSummary, HistogramUs, MetricsRegistry, MetricsSink, SharedRegistry};
+pub use metrics::{
+    Counter, HistSummary, Histogram, HistogramUs, MetricsRegistry, MetricsSink, SharedRegistry,
+    SpanTotals,
+};
 pub use ring::{RingBuffer, RingBufferSink, SharedRing};
 pub use sink::{Telemetry, TelemetryRecord, TelemetrySink};
-pub use span::{ClosedSpan, SpanId, SpanKind, SpanMetricNames};
+pub use span::{ClosedSpan, SpanId, SpanKind};

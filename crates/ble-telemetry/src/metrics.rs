@@ -1,14 +1,16 @@
-//! Counters, gauges and fixed-bucket microsecond histograms.
+//! Typed counters, gauges and fixed-bucket microsecond histograms.
 //!
-//! The registry is deliberately tiny — a `BTreeMap` per metric family keyed
-//! by `&'static str` — because trials are single-threaded and short-lived;
-//! the bench rig merges per-trial registries into its `SeriesReport`
-//! artefacts afterwards.
+//! The registry is fixed-size and keyed by enums: a [`Counter`] or a
+//! [`Histogram`] indexes an array slot, and span totals sit in one slot
+//! per [`SpanKind`]. The [`MetricsSink`] counts into a private registry of
+//! the same type and merges it into the shared one on flush, so counting
+//! an event takes no lock and no lookup. The bench rig reads a trial's
+//! registry into its `SeriesReport` artefacts afterwards.
 
-use std::collections::BTreeMap;
+use std::ops::Index;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
-use crate::event::TelemetryEvent;
+use crate::event::{FaultKind, TelemetryEvent, Verdict};
 use crate::sink::{TelemetryRecord, TelemetrySink};
 use crate::span::SpanKind;
 
@@ -233,12 +235,147 @@ impl HistogramUs {
     }
 }
 
-/// Registry of named counters, gauges and histograms.
-#[derive(Debug, Clone, Default)]
+/// Declares a metric key enum from one table. Each row is a variant, its
+/// slot in `ALL` and its dotted name, which also documents the variant.
+macro_rules! metric_keys {
+    ($(#[$meta:meta])* $key:ident { $($variant:ident = $index:literal, $name:literal;)* }) => {
+        $(#[$meta])*
+        #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+        pub enum $key {
+            $(#[doc = concat!("`", $name, "`")] $variant,)*
+        }
+
+        impl $key {
+            /// Every key, in slot order (`index` indexes it).
+            pub const ALL: [$key; [$($index),*].len()] = [$($key::$variant),*];
+
+            /// Position in `ALL`.
+            pub fn index(self) -> usize {
+                match self {
+                    $($key::$variant => $index,)*
+                }
+            }
+
+            /// Stable dotted name (`"phy.collision"`, …).
+            pub fn name(self) -> &'static str {
+                match self {
+                    $($key::$variant => $name,)*
+                }
+            }
+        }
+    };
+}
+
+metric_keys! {
+    /// Everything [`MetricsSink`] counts. The registry keeps one `u64` per
+    /// variant; the dotted name is the key of [`MetricsRegistry::counter`].
+    Counter {
+        TelemetryEvents = 0, "telemetry.events";
+        SimNodes = 1, "sim.nodes";
+        PhyTx = 2, "phy.tx";
+        PhyRxLock = 3, "phy.rx_lock";
+        PhyRelock = 4, "phy.relock";
+        PhyRx = 5, "phy.rx";
+        PhyRxCrcBad = 6, "phy.rx_crc_bad";
+        PhyCollision = 7, "phy.collision";
+        PhyInterferenceSpill = 8, "phy.interference_spill";
+        LinkAnchor = 9, "link.anchor";
+        LinkWindowOpen = 10, "link.window_open";
+        LinkHop = 11, "link.hop";
+        LinkSnNesn = 12, "link.sn_nesn";
+        LinkCrcFail = 13, "link.crc_fail";
+        LinkControlPdu = 14, "link.control_pdu";
+        LinkConnected = 15, "link.connected";
+        LinkDisconnect = 16, "link.disconnect";
+        AttackSnifferSync = 17, "attack.sniffer_sync";
+        AttackSnifferLost = 18, "attack.sniffer_lost";
+        AttackResyncBackoff = 19, "attack.resync_backoff";
+        AttackResyncExhausted = 20, "attack.resync_exhausted";
+        AttackAttempts = 21, "attack.attempts";
+        AttackSuccess = 22, "attack.success";
+        AttackRejected = 23, "attack.rejected";
+        AttackNoResponse = 24, "attack.no_response";
+        AttackTakeover = 25, "attack.takeover";
+        DetectorAlerts = 26, "detector.alerts";
+        HostPoolExhausted = 27, "host.pool_exhausted";
+        HostSlotDenied = 28, "host.slot_denied";
+        HostConnEstablished = 29, "host.conn_established";
+        HostConnReleased = 30, "host.conn_released";
+        FaultBursts = 31, "fault.bursts";
+        FaultEpisodes = 32, "fault.episodes";
+        FaultFramesLost = 33, "fault.frames_lost";
+        FaultFramesCorrupted = 34, "fault.frames_corrupted";
+        SpanEnters = 35, "span.enters";
+    }
+}
+
+metric_keys! {
+    /// The sink's microsecond histograms.
+    Histogram {
+        Widening = 0, "link.widening_us";
+        Lead = 1, "attack.lead_us";
+        AnchorError = 2, "attack.anchor_error_us";
+        IfsDelta = 3, "attack.ifs_delta_us";
+        DetectorMagnitude = 4, "detector.magnitude_us";
+    }
+}
+
+/// Aggregates of one [`SpanKind`]'s closed spans.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct SpanTotals {
+    /// Closed spans.
+    pub count: u64,
+    /// Total simulation nanoseconds.
+    pub sim_ns: u64,
+    /// Simulation nanoseconds net of child spans.
+    pub self_sim_ns: u64,
+    /// Total wall-clock nanoseconds (0 without an injected clock).
+    pub wall_ns: u64,
+    /// Wall-clock nanoseconds net of child spans.
+    pub self_wall_ns: u64,
+}
+
+impl SpanTotals {
+    fn add(&mut self, other: &SpanTotals) {
+        self.count = self.count.saturating_add(other.count);
+        self.sim_ns = self.sim_ns.saturating_add(other.sim_ns);
+        self.self_sim_ns = self.self_sim_ns.saturating_add(other.self_sim_ns);
+        self.wall_ns = self.wall_ns.saturating_add(other.wall_ns);
+        self.self_wall_ns = self.self_wall_ns.saturating_add(other.self_wall_ns);
+    }
+}
+
+/// Typed metrics: one counter per [`Counter`], one histogram per
+/// [`Histogram`], [`SpanTotals`] per [`SpanKind`], and two gauges (the
+/// last event's time and the packet pool's high-water mark).
+#[derive(Debug, Clone, PartialEq)]
 pub struct MetricsRegistry {
-    counters: BTreeMap<&'static str, u64>,
-    gauges: BTreeMap<&'static str, f64>,
-    histograms: BTreeMap<&'static str, HistogramUs>,
+    counters: [u64; Counter::ALL.len()],
+    histograms: [HistogramUs; Histogram::ALL.len()],
+    spans: [SpanTotals; SpanKind::ALL.len()],
+    last_event_us: Option<f64>,
+    /// Running maximum; 0 until a pool reports occupancy.
+    pool_high_water: u64,
+}
+
+impl Default for MetricsRegistry {
+    fn default() -> Self {
+        MetricsRegistry {
+            counters: [0; Counter::ALL.len()],
+            histograms: std::array::from_fn(|_| HistogramUs::default()),
+            spans: [SpanTotals::default(); SpanKind::ALL.len()],
+            last_event_us: None,
+            pool_high_water: 0,
+        }
+    }
+}
+
+impl Index<Counter> for MetricsRegistry {
+    type Output = u64;
+
+    fn index(&self, counter: Counter) -> &u64 {
+        self.counters.get(counter.index()).unwrap_or(&0)
+    }
 }
 
 /// Shared handle to a registry (the simulation owns the [`MetricsSink`];
@@ -267,128 +404,76 @@ impl MetricsRegistry {
         SharedRegistry(Arc::new(Mutex::new(Self::new())))
     }
 
-    /// Increments a counter by one.
-    pub fn inc(&mut self, name: &'static str) {
-        self.add(name, 1);
-    }
-
-    /// Increments a counter by `n` (saturating).
-    pub fn add(&mut self, name: &'static str, n: u64) {
-        let c = self.counters.entry(name).or_insert(0);
-        *c = c.saturating_add(n);
-    }
-
-    /// Current counter value (0 if never incremented).
+    /// The counter named `name` ([`Counter::name`]); 0 for a name that no
+    /// counter has.
     pub fn counter(&self, name: &str) -> u64 {
-        self.counters.get(name).copied().unwrap_or(0)
+        Counter::ALL
+            .into_iter()
+            .find(|c| c.name() == name)
+            .map_or(0, |c| *self.index(c))
     }
 
-    /// Sets a gauge to the latest value.
-    pub fn set_gauge(&mut self, name: &'static str, value: f64) {
-        self.gauges.insert(name, value);
+    /// A histogram, if any observation was recorded.
+    pub fn histogram(&self, which: Histogram) -> Option<&HistogramUs> {
+        self.histograms.get(which.index()).filter(|h| !h.is_empty())
     }
 
-    /// Current gauge value, if ever set.
-    pub fn gauge(&self, name: &str) -> Option<f64> {
-        self.gauges.get(name).copied()
+    /// The aggregates of `kind`'s closed spans.
+    pub fn span(&self, kind: SpanKind) -> SpanTotals {
+        self.spans.get(kind.index()).copied().unwrap_or_default()
     }
 
-    /// Records a microsecond observation into a named histogram (created
-    /// with the default buckets on first use).
-    pub fn observe_us(&mut self, name: &'static str, value_us: f64) {
-        self.histograms.entry(name).or_default().record(value_us);
+    /// Simulation time of the last event, in µs, if any event was seen.
+    pub fn last_event_us(&self) -> Option<f64> {
+        self.last_event_us
     }
 
-    /// A named histogram, if any observation was recorded.
-    pub fn histogram(&self, name: &str) -> Option<&HistogramUs> {
-        self.histograms.get(name)
+    /// Most packet-pool buffers in use at once, once a pool reported.
+    pub fn pool_high_water(&self) -> Option<u64> {
+        (self.pool_high_water != 0).then_some(self.pool_high_water)
     }
 
-    /// Iterates counters in name order.
-    pub fn counters(&self) -> impl Iterator<Item = (&'static str, u64)> + '_ {
-        self.counters.iter().map(|(k, v)| (*k, *v))
-    }
-
-    /// Iterates gauges in name order.
-    pub fn gauges(&self) -> impl Iterator<Item = (&'static str, f64)> + '_ {
-        self.gauges.iter().map(|(k, v)| (*k, *v))
-    }
-
-    /// Iterates histograms in name order.
-    pub fn histograms(&self) -> impl Iterator<Item = (&'static str, &HistogramUs)> + '_ {
-        self.histograms.iter().map(|(k, v)| (*k, v))
-    }
-
-    /// Folds another registry into this one: counters add, gauges take the
-    /// other's value, histograms merge (skipping incompatible layouts).
+    /// Folds another registry into this one: counters, histograms and span
+    /// totals add, the last-event gauge takes the other's value when it has
+    /// one, and the high-water gauge keeps the larger mark.
     pub fn merge(&mut self, other: &MetricsRegistry) {
-        for (name, n) in other.counters() {
-            self.add(name, n);
+        for (mine, theirs) in self.counters.iter_mut().zip(&other.counters) {
+            *mine = mine.saturating_add(*theirs);
         }
-        for (name, v) in other.gauges() {
-            self.set_gauge(name, v);
+        for (mine, theirs) in self.histograms.iter_mut().zip(&other.histograms) {
+            mine.merge(theirs);
         }
-        for (name, h) in other.histograms() {
-            self.histograms.entry(name).or_default().merge(h);
+        for (mine, theirs) in self.spans.iter_mut().zip(&other.spans) {
+            mine.add(theirs);
+        }
+        if other.last_event_us.is_some() {
+            self.last_event_us = other.last_event_us;
+        }
+        self.pool_high_water = self.pool_high_water.max(other.pool_high_water);
+    }
+
+    /// Empties the registry in place, keeping the histograms' buffers.
+    fn clear(&mut self) {
+        self.counters = [0; Counter::ALL.len()];
+        for h in &mut self.histograms {
+            h.clear();
+        }
+        self.spans = [SpanTotals::default(); SpanKind::ALL.len()];
+        self.last_event_us = None;
+        self.pool_high_water = 0;
+    }
+
+    fn bump(&mut self, counter: Counter) {
+        if let Some(n) = self.counters.get_mut(counter.index()) {
+            *n = n.saturating_add(1);
         }
     }
-}
 
-/// Per-event tallies buffered in plain fields so that `emit` touches no
-/// lock and no map. [`MetricsSink::fold_into_registry`] drains them into
-/// the shared registry.
-#[derive(Debug, Default)]
-struct HotTallies {
-    events: u64,
-    last_event_us: f64,
-    nodes: u64,
-    tx: u64,
-    rx_lock: u64,
-    relock: u64,
-    rx: u64,
-    rx_crc_bad: u64,
-    collision: u64,
-    interference_spill: u64,
-    anchor: u64,
-    window_open: u64,
-    hop: u64,
-    sn_nesn: u64,
-    crc_fail: u64,
-    control_pdu: u64,
-    connected: u64,
-    disconnect: u64,
-    sniffer_sync: u64,
-    sniffer_lost: u64,
-    resync_backoff: u64,
-    resync_exhausted: u64,
-    attempts: u64,
-    success: u64,
-    rejected: u64,
-    no_response: u64,
-    takeover: u64,
-    detector_alerts: u64,
-    pool_exhausted: u64,
-    slot_denied: u64,
-    conn_established: u64,
-    conn_released: u64,
-    /// Running maximum, not a counter: folded as a gauge, never reset.
-    pool_high_water: u64,
-    fault_bursts: u64,
-    fault_episodes: u64,
-    fault_frames_lost: u64,
-    fault_frames_corrupted: u64,
-    span_enters: u64,
-    // Per-SpanKind exit aggregates, indexed by `SpanKind::index()`.
-    span_count: [u64; SpanKind::ALL.len()],
-    span_sim_ns: [u64; SpanKind::ALL.len()],
-    span_self_sim_ns: [u64; SpanKind::ALL.len()],
-    span_wall_ns: [u64; SpanKind::ALL.len()],
-    span_self_wall_ns: [u64; SpanKind::ALL.len()],
-    widening_us: HistogramUs,
-    lead_us: HistogramUs,
-    anchor_error_us: HistogramUs,
-    ifs_delta_us: HistogramUs,
-    detector_magnitude_us: HistogramUs,
+    fn observe(&mut self, which: Histogram, value_us: f64) {
+        if let Some(h) = self.histograms.get_mut(which.index()) {
+            h.record(value_us);
+        }
+    }
 }
 
 /// A [`TelemetrySink`] that folds every event into a [`MetricsRegistry`].
@@ -397,15 +482,14 @@ struct HotTallies {
 /// [`TelemetryEvent`] variant forces a decision here about how it is
 /// counted.
 ///
-/// Tallies are buffered in plain struct fields and only folded into the
-/// shared registry on [`TelemetrySink::flush`] (or drop): `emit` sits on
-/// the simulation hot path, and paying a mutex plus several `BTreeMap`
-/// lookups per event dominated trial cost. Read the registry only after
-/// flushing the world's sinks.
+/// `emit` sits on the simulation hot path, so it counts into a private
+/// registry that takes no lock; [`TelemetrySink::flush`] (or drop) merges
+/// that buffer into the shared registry and empties it. Read the registry
+/// only after flushing the world's sinks.
 #[derive(Debug)]
 pub struct MetricsSink {
     registry: SharedRegistry,
-    buf: HotTallies,
+    buf: MetricsRegistry,
 }
 
 impl MetricsSink {
@@ -413,113 +497,23 @@ impl MetricsSink {
     pub fn new() -> Self {
         MetricsSink {
             registry: MetricsRegistry::shared(),
-            buf: HotTallies::default(),
+            buf: MetricsRegistry::new(),
         }
     }
 
-    /// A sink feeding an existing registry.
-    pub fn with_registry(registry: SharedRegistry) -> Self {
-        MetricsSink {
-            registry,
-            buf: HotTallies::default(),
-        }
-    }
-
-    /// The shared registry this sink feeds. Buffered tallies become
+    /// The shared registry this sink feeds. Buffered counts become
     /// visible here after [`TelemetrySink::flush`].
     pub fn handle(&self) -> SharedRegistry {
         self.registry.clone()
     }
 
-    /// Drains the buffered tallies into the shared registry.
+    /// Merges the buffer into the shared registry and empties it.
     fn fold_into_registry(&mut self) {
-        let t = &mut self.buf;
-        if t.events == 0 {
+        if *self.buf.index(Counter::TelemetryEvents) == 0 {
             return;
         }
-        let mut reg = self.registry.lock();
-        let counters = [
-            ("telemetry.events", &mut t.events),
-            ("sim.nodes", &mut t.nodes),
-            ("phy.tx", &mut t.tx),
-            ("phy.rx_lock", &mut t.rx_lock),
-            ("phy.relock", &mut t.relock),
-            ("phy.rx", &mut t.rx),
-            ("phy.rx_crc_bad", &mut t.rx_crc_bad),
-            ("phy.collision", &mut t.collision),
-            ("phy.interference_spill", &mut t.interference_spill),
-            ("link.anchor", &mut t.anchor),
-            ("link.window_open", &mut t.window_open),
-            ("link.hop", &mut t.hop),
-            ("link.sn_nesn", &mut t.sn_nesn),
-            ("link.crc_fail", &mut t.crc_fail),
-            ("link.control_pdu", &mut t.control_pdu),
-            ("link.connected", &mut t.connected),
-            ("link.disconnect", &mut t.disconnect),
-            ("attack.sniffer_sync", &mut t.sniffer_sync),
-            ("attack.sniffer_lost", &mut t.sniffer_lost),
-            ("attack.resync_backoff", &mut t.resync_backoff),
-            ("attack.resync_exhausted", &mut t.resync_exhausted),
-            ("attack.attempts", &mut t.attempts),
-            ("attack.success", &mut t.success),
-            ("attack.rejected", &mut t.rejected),
-            ("attack.no_response", &mut t.no_response),
-            ("attack.takeover", &mut t.takeover),
-            ("detector.alerts", &mut t.detector_alerts),
-            ("host.pool_exhausted", &mut t.pool_exhausted),
-            ("host.slot_denied", &mut t.slot_denied),
-            ("host.conn_established", &mut t.conn_established),
-            ("host.conn_released", &mut t.conn_released),
-            ("fault.bursts", &mut t.fault_bursts),
-            ("fault.episodes", &mut t.fault_episodes),
-            ("fault.frames_lost", &mut t.fault_frames_lost),
-            ("fault.frames_corrupted", &mut t.fault_frames_corrupted),
-            ("span.enters", &mut t.span_enters),
-        ];
-        for (name, n) in counters {
-            if *n != 0 {
-                reg.add(name, *n);
-                *n = 0;
-            }
-        }
-        for kind in SpanKind::ALL {
-            let i = kind.index();
-            let names = kind.metric_names();
-            let slots = [
-                (names.count, t.span_count.get_mut(i)),
-                (names.sim_ns, t.span_sim_ns.get_mut(i)),
-                (names.self_sim_ns, t.span_self_sim_ns.get_mut(i)),
-                (names.wall_ns, t.span_wall_ns.get_mut(i)),
-                (names.self_wall_ns, t.span_self_wall_ns.get_mut(i)),
-            ];
-            for (name, slot) in slots {
-                if let Some(n) = slot {
-                    if *n != 0 {
-                        reg.add(name, *n);
-                        *n = 0;
-                    }
-                }
-            }
-        }
-        reg.set_gauge("sim.last_event_us", t.last_event_us);
-        if t.pool_high_water != 0 {
-            // Monotone high-water gauge: only present once a pool reported
-            // occupancy, so runs without a pool keep their metric set.
-            reg.set_gauge("host.pool_high_water", t.pool_high_water as f64);
-        }
-        let histograms = [
-            ("link.widening_us", &mut t.widening_us),
-            ("attack.lead_us", &mut t.lead_us),
-            ("attack.anchor_error_us", &mut t.anchor_error_us),
-            ("attack.ifs_delta_us", &mut t.ifs_delta_us),
-            ("detector.magnitude_us", &mut t.detector_magnitude_us),
-        ];
-        for (name, h) in histograms {
-            if !h.is_empty() {
-                reg.histograms.entry(name).or_default().merge(h);
-                h.clear();
-            }
-        }
+        self.registry.lock().merge(&self.buf);
+        self.buf.clear();
     }
 }
 
@@ -537,88 +531,83 @@ impl Drop for MetricsSink {
 
 impl TelemetrySink for MetricsSink {
     fn emit(&mut self, record: &TelemetryRecord) {
-        let t = &mut self.buf;
-        t.events = t.events.saturating_add(1);
-        t.last_event_us = record.at.as_micros_f64();
-        let bump = |c: &mut u64| *c = c.saturating_add(1);
+        let b = &mut self.buf;
+        b.bump(Counter::TelemetryEvents);
+        b.last_event_us = Some(record.at.as_micros_f64());
         match &record.event {
-            TelemetryEvent::NodeAdded { .. } => bump(&mut t.nodes),
-            TelemetryEvent::TxStart { .. } => bump(&mut t.tx),
+            TelemetryEvent::NodeAdded { .. } => b.bump(Counter::SimNodes),
+            TelemetryEvent::TxStart { .. } => b.bump(Counter::PhyTx),
             TelemetryEvent::TxEnd => {}
-            TelemetryEvent::RxLock { .. } => bump(&mut t.rx_lock),
-            TelemetryEvent::Relock { .. } => bump(&mut t.relock),
+            TelemetryEvent::RxLock { .. } => b.bump(Counter::PhyRxLock),
+            TelemetryEvent::Relock { .. } => b.bump(Counter::PhyRelock),
             TelemetryEvent::RxEnd { crc_ok, .. } => {
-                bump(&mut t.rx);
+                b.bump(Counter::PhyRx);
                 if !crc_ok {
-                    bump(&mut t.rx_crc_bad);
+                    b.bump(Counter::PhyRxCrcBad);
                 }
             }
-            TelemetryEvent::Collision { .. } => bump(&mut t.collision),
-            TelemetryEvent::InterferenceSpill { .. } => bump(&mut t.interference_spill),
-            TelemetryEvent::Anchor { .. } => bump(&mut t.anchor),
+            TelemetryEvent::Collision { .. } => b.bump(Counter::PhyCollision),
+            TelemetryEvent::InterferenceSpill { .. } => b.bump(Counter::PhyInterferenceSpill),
+            TelemetryEvent::Anchor { .. } => b.bump(Counter::LinkAnchor),
             TelemetryEvent::WindowOpen { widening, .. } => {
-                bump(&mut t.window_open);
-                t.widening_us.record(widening.as_micros_f64());
+                b.bump(Counter::LinkWindowOpen);
+                b.observe(Histogram::Widening, widening.as_micros_f64());
             }
-            TelemetryEvent::Hop { .. } => bump(&mut t.hop),
-            TelemetryEvent::SnNesn { .. } => bump(&mut t.sn_nesn),
-            TelemetryEvent::CrcFail { .. } => bump(&mut t.crc_fail),
-            TelemetryEvent::LlControl { .. } => bump(&mut t.control_pdu),
-            TelemetryEvent::ConnectionEstablished { .. } => bump(&mut t.connected),
-            TelemetryEvent::ConnectionClosed { .. } => bump(&mut t.disconnect),
-            TelemetryEvent::SnifferSync { .. } => bump(&mut t.sniffer_sync),
-            TelemetryEvent::SnifferLost { .. } => bump(&mut t.sniffer_lost),
-            TelemetryEvent::ResyncBackoff { .. } => bump(&mut t.resync_backoff),
-            TelemetryEvent::ResyncExhausted { .. } => bump(&mut t.resync_exhausted),
+            TelemetryEvent::Hop { .. } => b.bump(Counter::LinkHop),
+            TelemetryEvent::SnNesn { .. } => b.bump(Counter::LinkSnNesn),
+            TelemetryEvent::CrcFail { .. } => b.bump(Counter::LinkCrcFail),
+            TelemetryEvent::LlControl { .. } => b.bump(Counter::LinkControlPdu),
+            TelemetryEvent::ConnectionEstablished { .. } => b.bump(Counter::LinkConnected),
+            TelemetryEvent::ConnectionClosed { .. } => b.bump(Counter::LinkDisconnect),
+            TelemetryEvent::SnifferSync { .. } => b.bump(Counter::AttackSnifferSync),
+            TelemetryEvent::SnifferLost { .. } => b.bump(Counter::AttackSnifferLost),
+            TelemetryEvent::ResyncBackoff { .. } => b.bump(Counter::AttackResyncBackoff),
+            TelemetryEvent::ResyncExhausted { .. } => b.bump(Counter::AttackResyncExhausted),
             TelemetryEvent::InjectionAttempt { lead, .. } => {
-                bump(&mut t.attempts);
-                t.lead_us.record(lead.as_micros_f64());
+                b.bump(Counter::AttackAttempts);
+                b.observe(Histogram::Lead, lead.as_micros_f64());
             }
-            TelemetryEvent::HeuristicVerdict { verdict, .. } => {
-                bump(match verdict {
-                    crate::event::Verdict::Success => &mut t.success,
-                    crate::event::Verdict::Rejected => &mut t.rejected,
-                    crate::event::Verdict::NoResponse => &mut t.no_response,
-                });
-            }
+            TelemetryEvent::HeuristicVerdict { verdict, .. } => b.bump(match verdict {
+                Verdict::Success => Counter::AttackSuccess,
+                Verdict::Rejected => Counter::AttackRejected,
+                Verdict::NoResponse => Counter::AttackNoResponse,
+            }),
             TelemetryEvent::AnchorPrediction { error_us } => {
-                t.anchor_error_us.record(*error_us);
+                b.observe(Histogram::AnchorError, *error_us);
             }
-            TelemetryEvent::IfsDelta { delta_us } => {
-                t.ifs_delta_us.record(*delta_us);
-            }
-            TelemetryEvent::Takeover { .. } => bump(&mut t.takeover),
+            TelemetryEvent::IfsDelta { delta_us } => b.observe(Histogram::IfsDelta, *delta_us),
+            TelemetryEvent::Takeover { .. } => b.bump(Counter::AttackTakeover),
             TelemetryEvent::DetectorAlert { magnitude_us, .. } => {
-                bump(&mut t.detector_alerts);
-                t.detector_magnitude_us.record(*magnitude_us);
+                b.bump(Counter::DetectorAlerts);
+                b.observe(Histogram::DetectorMagnitude, *magnitude_us);
             }
-            TelemetryEvent::PoolExhausted { .. } => bump(&mut t.pool_exhausted),
-            TelemetryEvent::SlotDenied => bump(&mut t.slot_denied),
-            TelemetryEvent::ConnEstablished { .. } => bump(&mut t.conn_established),
-            TelemetryEvent::ConnReleased { .. } => bump(&mut t.conn_released),
+            TelemetryEvent::PoolExhausted { .. } => b.bump(Counter::HostPoolExhausted),
+            TelemetryEvent::SlotDenied => b.bump(Counter::HostSlotDenied),
+            TelemetryEvent::ConnEstablished { .. } => b.bump(Counter::HostConnEstablished),
+            TelemetryEvent::ConnReleased { .. } => b.bump(Counter::HostConnReleased),
             TelemetryEvent::PoolHighWater { in_use } => {
-                t.pool_high_water = t.pool_high_water.max(u64::from(*in_use));
+                b.pool_high_water = b.pool_high_water.max(u64::from(*in_use));
             }
             TelemetryEvent::FaultBurst { active, .. } => {
                 if *active {
-                    bump(&mut t.fault_bursts);
+                    b.bump(Counter::FaultBursts);
                 }
             }
             TelemetryEvent::FaultEpisode { active, .. } => {
                 if *active {
-                    bump(&mut t.fault_episodes);
+                    b.bump(Counter::FaultEpisodes);
                 }
             }
-            TelemetryEvent::FaultFrame { kind, .. } => match kind {
-                crate::event::FaultKind::Loss => bump(&mut t.fault_frames_lost),
-                crate::event::FaultKind::Corruption => bump(&mut t.fault_frames_corrupted),
+            TelemetryEvent::FaultFrame { kind, .. } => b.bump(match kind {
+                FaultKind::Loss => Counter::FaultFramesLost,
+                FaultKind::Corruption => Counter::FaultFramesCorrupted,
                 // Burst/fading/drift faults are episodic, not per-frame; a
                 // mislabelled frame event still counts as a lost frame.
-                crate::event::FaultKind::Interference
-                | crate::event::FaultKind::Fading
-                | crate::event::FaultKind::Drift => bump(&mut t.fault_frames_lost),
-            },
-            TelemetryEvent::SpanEnter { .. } => bump(&mut t.span_enters),
+                FaultKind::Interference | FaultKind::Fading | FaultKind::Drift => {
+                    Counter::FaultFramesLost
+                }
+            }),
+            TelemetryEvent::SpanEnter { .. } => b.bump(Counter::SpanEnters),
             TelemetryEvent::SpanExit {
                 kind,
                 sim_ns,
@@ -627,18 +616,14 @@ impl TelemetrySink for MetricsSink {
                 self_wall_ns,
                 ..
             } => {
-                let i = kind.index();
-                let adds = [
-                    (t.span_count.get_mut(i), 1u64),
-                    (t.span_sim_ns.get_mut(i), *sim_ns),
-                    (t.span_self_sim_ns.get_mut(i), *self_sim_ns),
-                    (t.span_wall_ns.get_mut(i), *wall_ns),
-                    (t.span_self_wall_ns.get_mut(i), *self_wall_ns),
-                ];
-                for (slot, n) in adds {
-                    if let Some(c) = slot {
-                        *c = c.saturating_add(n);
-                    }
+                if let Some(totals) = b.spans.get_mut(kind.index()) {
+                    totals.add(&SpanTotals {
+                        count: 1,
+                        sim_ns: *sim_ns,
+                        self_sim_ns: *self_sim_ns,
+                        wall_ns: *wall_ns,
+                        self_wall_ns: *self_wall_ns,
+                    });
                 }
             }
         }
@@ -753,102 +738,105 @@ mod tests {
     }
 
     #[test]
-    fn registry_counters_gauges_histograms() {
+    fn counter_names_are_distinct_and_round_trip() {
+        let mut seen = std::collections::BTreeSet::new();
         let mut r = MetricsRegistry::new();
-        r.inc("a");
-        r.add("a", 2);
-        assert_eq!(r.counter("a"), 3);
+        for (i, c) in Counter::ALL.into_iter().enumerate() {
+            assert_eq!(c.index(), i, "{c:?} sits in its own slot");
+            assert!(seen.insert(c.name()), "duplicate counter name {}", c.name());
+            r.counters[i] = 100 + i as u64;
+        }
+        for c in Counter::ALL {
+            assert_eq!(r.counter(c.name()), r[c], "{}", c.name());
+            assert_eq!(r[c], 100 + c.index() as u64);
+        }
         assert_eq!(r.counter("missing"), 0);
-        r.set_gauge("g", 1.5);
-        r.set_gauge("g", 2.5);
-        assert_eq!(r.gauge("g"), Some(2.5));
-        r.observe_us("h", 3.0);
-        assert_eq!(r.histogram("h").map(HistogramUs::count), Some(1));
-
-        let mut other = MetricsRegistry::new();
-        other.add("a", 10);
-        other.set_gauge("g", 9.0);
-        other.observe_us("h", 4.0);
-        r.merge(&other);
-        assert_eq!(r.counter("a"), 13);
-        assert_eq!(r.gauge("g"), Some(9.0));
-        assert_eq!(r.histogram("h").map(HistogramUs::count), Some(2));
+        for (i, h) in Histogram::ALL.into_iter().enumerate() {
+            assert_eq!(h.index(), i, "{h:?} sits in its own slot");
+            assert!(seen.insert(h.name()), "duplicate metric name {}", h.name());
+        }
     }
 
     #[test]
     fn counter_saturates_instead_of_overflowing() {
         let mut r = MetricsRegistry::new();
-        r.add("big", u64::MAX - 1);
-        r.add("big", 5);
-        assert_eq!(r.counter("big"), u64::MAX);
+        r.counters = [u64::MAX - 1; Counter::ALL.len()];
+        let mut other = MetricsRegistry::new();
+        other.counters = [5; Counter::ALL.len()];
+        r.merge(&other);
+        assert_eq!(r[Counter::PhyCollision], u64::MAX);
+    }
+
+    fn record(at_us: u64, event: TelemetryEvent) -> TelemetryRecord {
+        TelemetryRecord {
+            at: Instant::from_micros(at_us),
+            node: None,
+            event,
+        }
     }
 
     #[test]
     fn sink_classifies_events() {
-        let sink = MetricsSink::new();
+        let mut sink = MetricsSink::new();
         let reg = sink.handle();
-        let mut sink = sink;
-        {
-            let mut emit = |event: TelemetryEvent| {
-                sink.emit(&TelemetryRecord {
-                    at: Instant::from_micros(10),
-                    node: Some(0),
-                    event,
-                });
-            };
-            emit(TelemetryEvent::InjectionAttempt {
+        for event in [
+            TelemetryEvent::InjectionAttempt {
                 channel: 3,
                 lead: Duration::from_micros(40),
-            });
-            emit(TelemetryEvent::HeuristicVerdict {
+            },
+            TelemetryEvent::HeuristicVerdict {
                 verdict: Verdict::Success,
                 attempts_total: 1,
-            });
-            emit(TelemetryEvent::AnchorPrediction { error_us: -2.0 });
-            emit(TelemetryEvent::RxEnd {
+            },
+            TelemetryEvent::AnchorPrediction { error_us: -2.0 },
+            TelemetryEvent::RxEnd {
                 channel: 1,
                 access_address: 0x1,
                 crc_ok: false,
                 interferers: 1,
-            });
+            },
+            TelemetryEvent::PoolHighWater { in_use: 3 },
+            TelemetryEvent::PoolHighWater { in_use: 2 },
+        ] {
+            sink.emit(&record(10, event));
         }
-        // Tallies are buffered until the sink flushes.
-        assert_eq!(reg.lock().counter("telemetry.events"), 0);
+        // Counts are buffered until the sink flushes.
+        assert_eq!(reg.lock()[Counter::TelemetryEvents], 0);
         sink.flush();
         let reg = reg.lock();
-        assert_eq!(reg.counter("telemetry.events"), 4);
-        assert_eq!(reg.counter("attack.attempts"), 1);
-        assert_eq!(reg.counter("attack.success"), 1);
-        assert_eq!(reg.counter("phy.rx_crc_bad"), 1);
+        assert_eq!(reg[Counter::TelemetryEvents], 6);
+        assert_eq!(reg[Counter::AttackAttempts], 1);
+        assert_eq!(reg[Counter::AttackSuccess], 1);
+        assert_eq!(reg[Counter::PhyRxCrcBad], 1);
         assert_eq!(
-            reg.histogram("attack.lead_us").map(HistogramUs::count),
+            reg.histogram(Histogram::Lead).map(HistogramUs::count),
             Some(1)
         );
         assert_eq!(
-            reg.histogram("attack.anchor_error_us")
+            reg.histogram(Histogram::AnchorError)
                 .map(HistogramUs::count),
             Some(1)
         );
-        assert_eq!(reg.gauge("sim.last_event_us"), Some(10.0));
+        assert_eq!(reg.histogram(Histogram::IfsDelta), None);
+        assert_eq!(reg.last_event_us(), Some(10.0));
+        assert_eq!(reg.pool_high_water(), Some(3));
     }
 
     #[test]
     fn span_exits_fold_into_kind_scoped_counters() {
         let mut sink = MetricsSink::new();
         let reg = sink.handle();
-        sink.emit(&TelemetryRecord {
-            at: Instant::from_micros(1),
-            node: None,
-            event: TelemetryEvent::SpanEnter {
+        sink.emit(&record(
+            1,
+            TelemetryEvent::SpanEnter {
                 id: 1,
                 kind: SpanKind::TrialSync,
                 detail: 0,
             },
-        });
-        sink.emit(&TelemetryRecord {
-            at: Instant::from_micros(9),
-            node: None,
-            event: TelemetryEvent::SpanExit {
+        ));
+        sink.emit(&record(
+            9,
+            TelemetryEvent::SpanExit {
                 id: 1,
                 kind: SpanKind::TrialSync,
                 detail: 0,
@@ -857,83 +845,79 @@ mod tests {
                 self_sim_ns: 6_000,
                 self_wall_ns: 100,
             },
-        });
+        ));
         sink.flush();
         let reg = reg.lock();
-        assert_eq!(reg.counter("span.enters"), 1);
-        assert_eq!(reg.counter("span.trial_sync.count"), 1);
-        assert_eq!(reg.counter("span.trial_sync.sim_ns"), 8_000);
-        assert_eq!(reg.counter("span.trial_sync.self_sim_ns"), 6_000);
-        assert_eq!(reg.counter("span.trial_sync.wall_ns"), 120);
-        assert_eq!(reg.counter("span.trial_sync.self_wall_ns"), 100);
-        assert_eq!(reg.counter("span.trial_follow.count"), 0);
+        assert_eq!(reg[Counter::SpanEnters], 1);
+        assert_eq!(
+            reg.span(SpanKind::TrialSync),
+            SpanTotals {
+                count: 1,
+                sim_ns: 8_000,
+                self_sim_ns: 6_000,
+                wall_ns: 120,
+                self_wall_ns: 100,
+            }
+        );
+        assert_eq!(reg.span(SpanKind::TrialFollow), SpanTotals::default());
     }
 
     #[test]
     fn dropping_the_sink_folds_buffered_tallies() {
         let mut sink = MetricsSink::new();
         let reg = sink.handle();
-        sink.emit(&TelemetryRecord {
-            at: Instant::from_micros(5),
-            node: None,
-            event: TelemetryEvent::TxEnd,
-        });
+        sink.emit(&record(5, TelemetryEvent::TxEnd));
         drop(sink);
-        assert_eq!(reg.lock().counter("telemetry.events"), 1);
-        assert_eq!(reg.lock().gauge("sim.last_event_us"), Some(5.0));
+        assert_eq!(reg.lock()[Counter::TelemetryEvents], 1);
+        assert_eq!(reg.lock().last_event_us(), Some(5.0));
     }
 
     #[test]
     fn repeated_flushes_do_not_double_count() {
         let mut sink = MetricsSink::new();
         let reg = sink.handle();
-        sink.emit(&TelemetryRecord {
-            at: Instant::from_micros(1),
-            node: None,
-            event: TelemetryEvent::AnchorPrediction { error_us: 2.0 },
-        });
+        sink.emit(&record(
+            1,
+            TelemetryEvent::AnchorPrediction { error_us: 2.0 },
+        ));
+        sink.emit(&record(2, TelemetryEvent::PoolHighWater { in_use: 4 }));
         sink.flush();
+        sink.flush();
+        // A later flush of fewer buffered events keeps earlier gauges.
+        sink.emit(&record(3, TelemetryEvent::PoolHighWater { in_use: 1 }));
         sink.flush();
         let reg = reg.lock();
-        assert_eq!(reg.counter("telemetry.events"), 1);
+        assert_eq!(reg[Counter::TelemetryEvents], 3);
         assert_eq!(
-            reg.histogram("attack.anchor_error_us")
+            reg.histogram(Histogram::AnchorError)
                 .map(HistogramUs::count),
             Some(1)
         );
+        assert_eq!(reg.pool_high_water(), Some(4));
+        assert_eq!(reg.last_event_us(), Some(3.0));
     }
 
     #[test]
-    fn iteration_is_name_sorted_regardless_of_insertion_order() {
-        // The registry backs experiment artefacts: its iteration order must
-        // be a pure function of the metric names, never of the order the
-        // simulation happened to first touch them (determinism pass).
-        let mut fwd = MetricsRegistry::new();
-        fwd.inc("a.first");
-        fwd.inc("z.last");
-        fwd.set_gauge("a.g", 1.0);
-        fwd.set_gauge("z.g", 2.0);
-        fwd.observe_us("a.h", 1.0);
-        fwd.observe_us("z.h", 2.0);
-        let mut rev = MetricsRegistry::new();
-        rev.observe_us("z.h", 2.0);
-        rev.observe_us("a.h", 1.0);
-        rev.set_gauge("z.g", 2.0);
-        rev.set_gauge("a.g", 1.0);
-        rev.inc("z.last");
-        rev.inc("a.first");
-        let names = |r: &MetricsRegistry| {
-            (
-                r.counters().map(|(k, _)| k).collect::<Vec<_>>(),
-                r.gauges().map(|(k, _)| k).collect::<Vec<_>>(),
-                r.histograms().map(|(k, _)| k).collect::<Vec<_>>(),
-            )
+    fn registry_does_not_depend_on_event_order() {
+        // The registry backs experiment artefacts: its contents must be a
+        // function of the events seen, never of the order the simulation
+        // happened to emit them in (determinism pass).
+        let events = [
+            TelemetryEvent::AnchorPrediction { error_us: 1.0 },
+            TelemetryEvent::IfsDelta { delta_us: 2.0 },
+            TelemetryEvent::TxEnd,
+            TelemetryEvent::SlotDenied,
+        ];
+        let fold = |order: &mut dyn Iterator<Item = &TelemetryEvent>| {
+            let mut sink = MetricsSink::new();
+            let reg = sink.handle();
+            for event in order {
+                sink.emit(&record(1, event.clone()));
+            }
+            sink.flush();
+            let snapshot = reg.lock().clone();
+            snapshot
         };
-        assert_eq!(names(&fwd), names(&rev));
-        assert_eq!(
-            fwd.counters().map(|(k, _)| k).collect::<Vec<_>>(),
-            vec!["a.first", "z.last"],
-            "counters iterate in name order"
-        );
+        assert_eq!(fold(&mut events.iter()), fold(&mut events.iter().rev()));
     }
 }

@@ -76,22 +76,6 @@ pub enum SpanKind {
     LlProcedure,
 }
 
-/// Metric names under which a kind's aggregates land in the
-/// [`crate::MetricsRegistry`] (see [`SpanKind::metric_names`]).
-#[derive(Debug, Clone, Copy)]
-pub struct SpanMetricNames {
-    /// Closed-span count.
-    pub count: &'static str,
-    /// Total simulation nanoseconds.
-    pub sim_ns: &'static str,
-    /// Simulation nanoseconds net of child spans.
-    pub self_sim_ns: &'static str,
-    /// Total wall-clock nanoseconds (0 without an injected clock).
-    pub wall_ns: &'static str,
-    /// Wall-clock nanoseconds net of child spans.
-    pub self_wall_ns: &'static str,
-}
-
 impl SpanKind {
     /// Every kind, in a fixed order ([`SpanKind::index`] indexes into it).
     pub const ALL: [SpanKind; 8] = [
@@ -145,31 +129,6 @@ impl SpanKind {
             "channel-airtime" => Some(SpanKind::ChannelAirtime),
             "ll-procedure" => Some(SpanKind::LlProcedure),
             _ => None,
-        }
-    }
-
-    /// The registry metric names this kind's closed spans aggregate under.
-    pub fn metric_names(self) -> SpanMetricNames {
-        macro_rules! names {
-            ($base:literal) => {
-                SpanMetricNames {
-                    count: concat!("span.", $base, ".count"),
-                    sim_ns: concat!("span.", $base, ".sim_ns"),
-                    self_sim_ns: concat!("span.", $base, ".self_sim_ns"),
-                    wall_ns: concat!("span.", $base, ".wall_ns"),
-                    self_wall_ns: concat!("span.", $base, ".self_wall_ns"),
-                }
-            };
-        }
-        match self {
-            SpanKind::TrialSync => names!("trial_sync"),
-            SpanKind::TrialFollow => names!("trial_follow"),
-            SpanKind::TrialVerify => names!("trial_verify"),
-            SpanKind::AttackerScan => names!("attacker_scan"),
-            SpanKind::AttackerFollow => names!("attacker_follow"),
-            SpanKind::AttackerInject => names!("attacker_inject"),
-            SpanKind::ChannelAirtime => names!("channel_airtime"),
-            SpanKind::LlProcedure => names!("ll_procedure"),
         }
     }
 }
@@ -336,24 +295,6 @@ mod tests {
     fn kind_indices_match_all_order() {
         for (i, kind) in SpanKind::ALL.into_iter().enumerate() {
             assert_eq!(kind.index(), i);
-        }
-    }
-
-    #[test]
-    fn metric_names_are_kind_scoped_and_distinct() {
-        let mut seen = std::collections::BTreeSet::new();
-        for kind in SpanKind::ALL {
-            let names = kind.metric_names();
-            for name in [
-                names.count,
-                names.sim_ns,
-                names.self_sim_ns,
-                names.wall_ns,
-                names.self_wall_ns,
-            ] {
-                assert!(name.starts_with("span."), "{name}");
-                assert!(seen.insert(name), "duplicate metric name {name}");
-            }
         }
     }
 

@@ -26,7 +26,7 @@ use simkit::{Duration, Instant};
 use crate::heuristic::{injection_succeeded, InjectionAttempt, ObservedResponse};
 use crate::mitm::MitmHandoff;
 use crate::resync::{ResyncController, ResyncPolicy, ResyncState};
-use crate::stats::{AttackStats, AttemptOutcome};
+use crate::stats::AttackStats;
 use crate::tracked::{ConnectionSniffer, EventPlan, SnifferEvent, TrackedConnection};
 
 const ADV_CRC_INIT: u32 = ble_phy::ADVERTISING_CRC_INIT;
@@ -661,14 +661,8 @@ impl Attacker {
     // Injection outcome handling
     // ------------------------------------------------------------------
 
-    fn record_attempt(&mut self, ctx: &mut NodeCtx<'_>, outcome: AttemptOutcome) {
-        let now = ctx.now();
-        self.stats.record(now, outcome);
-        let verdict = match outcome {
-            AttemptOutcome::Success => Verdict::Success,
-            AttemptOutcome::Rejected => Verdict::Rejected,
-            AttemptOutcome::NoResponse => Verdict::NoResponse,
-        };
+    fn record_attempt(&mut self, ctx: &mut NodeCtx<'_>, verdict: Verdict) {
+        self.stats.record(verdict);
         let attempts_total = u64::from(self.stats.attempts_total);
         ctx.emit(|| TelemetryEvent::HeuristicVerdict {
             verdict,
@@ -687,18 +681,18 @@ impl Attacker {
         // Scenario B: any Slave activity right after a terminate injection
         // means the eviction did not happen.
         if matches!(self.mission, Mission::HijackSlave { .. }) {
-            self.record_attempt(ctx, AttemptOutcome::Rejected);
+            self.record_attempt(ctx, Verdict::Rejected);
             self.note_response_frame(ctx, &attempt, frame);
             self.schedule_event(ctx);
             return;
         }
         if !frame.crc_ok {
-            self.record_attempt(ctx, AttemptOutcome::Rejected);
+            self.record_attempt(ctx, Verdict::Rejected);
             self.schedule_event(ctx);
             return;
         }
         let Ok(pdu) = DataPdu::from_bytes(&frame.pdu) else {
-            self.record_attempt(ctx, AttemptOutcome::Rejected);
+            self.record_attempt(ctx, Verdict::Rejected);
             self.schedule_event(ctx);
             return;
         };
@@ -733,10 +727,10 @@ impl Attacker {
             if !pdu.payload.is_empty() {
                 self.captured.push(pdu.payload.clone());
             }
-            self.record_attempt(ctx, AttemptOutcome::Success);
+            self.record_attempt(ctx, Verdict::Success);
             self.on_injection_confirmed();
         } else {
-            self.record_attempt(ctx, AttemptOutcome::Rejected);
+            self.record_attempt(ctx, Verdict::Rejected);
         }
         self.schedule_event(ctx);
     }
@@ -1000,7 +994,7 @@ impl Attacker {
         if self.mission_state == MissionState::VerifyingTermination {
             if frames >= 2 {
                 // Slave alive: the terminate did not land.
-                self.record_attempt(ctx, AttemptOutcome::Rejected);
+                self.record_attempt(ctx, Verdict::Rejected);
                 self.pending_terminate = None;
                 self.quiet_events = 0;
                 self.mission_state = MissionState::Injecting;
@@ -1008,7 +1002,7 @@ impl Attacker {
                 // Master transmitted, Slave silent.
                 self.quiet_events += 1;
                 if self.quiet_events >= 2 {
-                    self.record_attempt(ctx, AttemptOutcome::Success);
+                    self.record_attempt(ctx, Verdict::Success);
                     self.pending_terminate = None;
                     self.perform_slave_takeover(ctx);
                     return;
@@ -1084,7 +1078,7 @@ impl RadioListener for Attacker {
                                 self.quiet_events = 0;
                                 self.mission_state = MissionState::VerifyingTermination;
                             } else {
-                                self.record_attempt(ctx, AttemptOutcome::NoResponse);
+                                self.record_attempt(ctx, Verdict::NoResponse);
                                 let lost = {
                                     match self.conn.as_mut() {
                                         Some(conn) => {

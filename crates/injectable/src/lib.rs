@@ -46,5 +46,5 @@ pub use defense::{Alert, DetectorConfig, InjectionDetector};
 pub use heuristic::{injection_succeeded, InjectionAttempt, ObservedResponse};
 pub use mitm::{new_handoff, MitmHandoff, MitmShared, MitmSlaveHalf, RewriteRule};
 pub use resync::{ResyncController, ResyncPolicy, ResyncState};
-pub use stats::{AttackStats, AttemptOutcome};
+pub use stats::AttackStats;
 pub use tracked::{ConnectionSniffer, SnifferEvent, TrackedConnection};

@@ -1,17 +1,6 @@
 //! Attack statistics — the measurements the paper's Figure 9 reports.
 
-use simkit::Instant;
-
-/// Outcome of one injection attempt.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AttemptOutcome {
-    /// The heuristic (eq. 7) confirmed the injection.
-    Success,
-    /// A Slave response was observed but failed the heuristic.
-    Rejected,
-    /// No Slave response was observed at all.
-    NoResponse,
-}
+use ble_telemetry::Verdict;
 
 /// Per-run injection statistics.
 ///
@@ -26,8 +15,6 @@ pub struct AttackStats {
     pub attempts_since_success: u32,
     /// For each confirmed success: how many attempts it took.
     pub attempts_per_success: Vec<u32>,
-    /// Log of every attempt: (time, outcome).
-    pub log: Vec<(Instant, AttemptOutcome)>,
     /// Connections followed (sniffer synchronisations).
     pub connections_followed: u32,
     /// Connections lost while following (desynchronised or terminated).
@@ -35,14 +22,13 @@ pub struct AttackStats {
 }
 
 impl AttackStats {
-    /// Records one attempt and its outcome. Counters saturate instead of
-    /// wrapping: a release-mode campaign that somehow exceeds `u32::MAX`
+    /// Records one attempt and its eq. 7 verdict. Counters saturate instead
+    /// of wrapping: a release-mode campaign that somehow exceeds `u32::MAX`
     /// attempts must not fold its statistics back to zero.
-    pub fn record(&mut self, at: Instant, outcome: AttemptOutcome) {
+    pub fn record(&mut self, verdict: Verdict) {
         self.attempts_total = self.attempts_total.saturating_add(1);
         self.attempts_since_success = self.attempts_since_success.saturating_add(1);
-        self.log.push((at, outcome));
-        if outcome == AttemptOutcome::Success {
+        if verdict == Verdict::Success {
             self.attempts_per_success.push(self.attempts_since_success);
             self.attempts_since_success = 0;
         }
@@ -76,12 +62,11 @@ mod tests {
     #[test]
     fn counts_attempts_per_success() {
         let mut s = AttackStats::default();
-        let t = Instant::ZERO;
-        s.record(t, AttemptOutcome::NoResponse);
-        s.record(t, AttemptOutcome::Rejected);
-        s.record(t, AttemptOutcome::Success);
-        s.record(t, AttemptOutcome::Success);
-        s.record(t, AttemptOutcome::Rejected);
+        s.record(Verdict::NoResponse);
+        s.record(Verdict::Rejected);
+        s.record(Verdict::Success);
+        s.record(Verdict::Success);
+        s.record(Verdict::Rejected);
         assert_eq!(s.attempts_total, 5);
         assert_eq!(s.attempts_per_success, vec![3, 1]);
         assert_eq!(s.successes(), 2);
@@ -105,7 +90,7 @@ mod tests {
             connections_lost: u32::MAX,
             ..AttackStats::default()
         };
-        s.record(Instant::ZERO, AttemptOutcome::Rejected);
+        s.record(Verdict::Rejected);
         assert_eq!(s.attempts_total, u32::MAX);
         assert_eq!(s.attempts_since_success, u32::MAX);
         s.record_connection_followed();
@@ -113,7 +98,7 @@ mod tests {
         assert_eq!(s.connections_followed, u32::MAX);
         assert_eq!(s.connections_lost, u32::MAX);
         // A success still resets the per-success counter.
-        s.record(Instant::ZERO, AttemptOutcome::Success);
+        s.record(Verdict::Success);
         assert_eq!(s.attempts_since_success, 0);
         assert_eq!(s.attempts_per_success, vec![u32::MAX]);
     }

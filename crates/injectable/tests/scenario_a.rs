@@ -4,7 +4,7 @@
 use ble_devices::{bulb_payloads, Lightbulb};
 use ble_host::att::AttPdu;
 use ble_scenario::{att_write_frame, Scenario, ScenarioBuilder};
-use injectable::{AttemptOutcome, Mission, MissionState};
+use injectable::{Mission, MissionState};
 use simkit::Duration;
 
 fn rig(seed: u64, hop_interval: u16) -> Scenario {
@@ -133,6 +133,5 @@ fn injection_attempts_eventually_succeed_even_with_failures() {
     );
     assert!(s.victim::<Lightbulb>().app.on);
     // From that far away at least some attempts typically fail first.
-    let outcomes: Vec<AttemptOutcome> = s.attacker().stats().log.iter().map(|(_, o)| *o).collect();
-    assert!(!outcomes.is_empty());
+    assert!(s.attacker().stats().attempts_total > 0);
 }

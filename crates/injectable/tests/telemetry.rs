@@ -7,7 +7,7 @@
 use ble_devices::bulb_payloads;
 use ble_host::att::AttPdu;
 use ble_scenario::ScenarioBuilder;
-use ble_telemetry::{MetricsSink, RingBufferSink, TelemetryEvent, Verdict};
+use ble_telemetry::{Counter, Histogram, MetricsSink, RingBufferSink, TelemetryEvent, Verdict};
 use injectable::{Mission, MissionState, ResyncPolicy};
 use simkit::Duration;
 
@@ -75,17 +75,14 @@ fn scenario_a_emits_attempt_then_verdict_into_sinks() {
     s.world.flush_telemetry();
     let reg = registry.lock();
     let stats_attempts = u64::from(s.attacker().stats().attempts_total);
-    assert_eq!(reg.counter("attack.attempts"), stats_attempts);
-    assert!(reg.counter("attack.success") >= 1);
-    assert!(
-        reg.counter("link.anchor") > 0,
-        "link-layer anchors recorded"
-    );
-    assert!(reg.counter("phy.tx") > 0, "PHY transmissions recorded");
-    let lead = reg.histogram("attack.lead_us").expect("lead histogram");
+    assert_eq!(reg[Counter::AttackAttempts], stats_attempts);
+    assert!(reg[Counter::AttackSuccess] >= 1);
+    assert!(reg[Counter::LinkAnchor] > 0, "link-layer anchors recorded");
+    assert!(reg[Counter::PhyTx] > 0, "PHY transmissions recorded");
+    let lead = reg.histogram(Histogram::Lead).expect("lead histogram");
     assert_eq!(lead.count(), stats_attempts);
     let anchor_err = reg
-        .histogram("attack.anchor_error_us")
+        .histogram(Histogram::AnchorError)
         .expect("anchor error histogram");
     assert!(anchor_err.count() > 0);
 }
@@ -168,8 +165,8 @@ fn a_sniffer_that_never_acquires_reports_each_campaign_then_gives_up() {
     s.world.flush_telemetry();
     let reg = registry.lock();
     assert_eq!(
-        reg.counter("attack.resync_backoff"),
+        reg[Counter::AttackResyncBackoff],
         u64::from(policy.max_retries)
     );
-    assert_eq!(reg.counter("attack.resync_exhausted"), 1);
+    assert_eq!(reg[Counter::AttackResyncExhausted], 1);
 }

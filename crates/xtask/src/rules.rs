@@ -437,7 +437,8 @@ fn open_backward(tokens: &[Token], close: usize) -> Option<usize> {
 /// telemetry event is held to the same bar so adding an event variant
 /// surfaces every consumer (sinks, timeline rendering) that must handle it,
 /// and the fault taxonomy likewise so a new impairment kind surfaces every
-/// site that renders or tallies faults.
+/// site that renders or tallies faults. The metric keys (`Counter`,
+/// `Histogram`) join them so a new counter surfaces its name and slot.
 const PDU_ENUMS: &[&str] = &[
     "ControlPdu",
     "AdvertisingPdu",
@@ -445,6 +446,8 @@ const PDU_ENUMS: &[&str] = &[
     "TelemetryEvent",
     "FaultKind",
     "SpanKind",
+    "Counter",
+    "Histogram",
     "SlotState",
     "QosPolicy",
 ];
